@@ -22,11 +22,11 @@ check:
 
 # chaos is the fault-injection tier: the seeded chaos scenario, the faulty-
 # provider regression tests, the breaker/backoff unit tests and the compute
-# pool's shutdown/leak checks, run twice under the race detector in a
-# shuffled order so recovery is provably deterministic and free of
-# ordering dependencies.
+# pool's shutdown/leak and fail-fast checks, run twice under the race
+# detector in a shuffled order so recovery is provably deterministic and
+# free of ordering dependencies.
 chaos:
-	$(GO) test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose' \
+	$(GO) test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|FirstError|LowestIndex' \
 		./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
 		./internal/admission ./internal/sched
 

@@ -27,6 +27,7 @@ import (
 	"evop/internal/hydro/fuse"
 	"evop/internal/hydro/topmodel"
 	"evop/internal/loadbalancer"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 	"evop/internal/runcache"
 	"evop/internal/sched"
@@ -221,7 +222,7 @@ func BenchmarkNationalSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		totals, err := o.RunNationalQuality(nil, nil)
+		totals, err := o.RunNationalQualityContext(context.Background(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +355,7 @@ func BenchmarkModelRunCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := o.RunModelCached(core.RunRequest{
+		_, _, err := o.RunModelCachedContext(context.Background(), core.RunRequest{
 			CatchmentID: "morland", Model: "topmodel",
 			TOPMODELParams: &params[i%len(params)],
 		})
@@ -369,13 +370,13 @@ func BenchmarkModelRunCacheMiss(b *testing.B) {
 func BenchmarkModelRunCacheHit(b *testing.B) {
 	o := benchObservatory(b)
 	req := core.RunRequest{CatchmentID: "morland", Model: "topmodel"}
-	if _, _, err := o.RunModelCached(req); err != nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, out, err := o.RunModelCached(req); err != nil || out != runcache.Hit {
+		if _, out, err := o.RunModelCachedContext(context.Background(), req); err != nil || out != runcache.Hit {
 			b.Fatalf("outcome = %v err = %v", out, err)
 		}
 	}
@@ -388,14 +389,14 @@ func BenchmarkModelRunCacheHit(b *testing.B) {
 func BenchmarkModelRunCacheCoalesced(b *testing.B) {
 	o := benchObservatory(b)
 	req := core.RunRequest{CatchmentID: "morland", Model: "topmodel"}
-	if _, _, err := o.RunModelCached(req); err != nil {
+	if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := o.RunModelCached(req); err != nil {
+			if _, _, err := o.RunModelCachedContext(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -598,11 +599,12 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reg := metrics.NewRegistry(clk)
 	lb, err := loadbalancer.New(loadbalancer.Config{
 		Multi: multi, Broker: brk, Clock: clk,
 		Image:  cloud.Image{ID: "svc-v1", Kind: cloud.Streamlined, Services: []string{"topmodel"}},
 		Flavor: cloud.DefaultFlavor(), Interval: 10 * time.Second,
-		MinInstances: 4,
+		MinInstances: 4, Metrics: reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -636,7 +638,6 @@ func BenchmarkLBTickFaulty(b *testing.B) {
 		open[i%len(open)] = s.ID
 	}
 	b.StopTimer()
-	st := lb.Stats()
-	b.ReportMetric(float64(st.TerminateRetries), "term-retries")
+	b.ReportMetric(float64(reg.Counter("evop_lb_terminate_retries_total", "").Value()), "term-retries")
 	b.ReportMetric(float64(multi.Failovers()), "failovers")
 }

@@ -29,7 +29,7 @@
 //	if err != nil { ... }
 //	obs.Start()
 //	defer obs.Stop()
-//	res, err := obs.RunModel(evop.RunRequest{
+//	res, err := obs.RunModelContext(ctx, evop.RunRequest{
 //		CatchmentID: "morland", Model: "topmodel", ScenarioID: "compaction",
 //	})
 //
@@ -43,9 +43,9 @@
 //
 //	p.ListenAndServeContext(ctx, ":8080")
 //
-// Model runs are cancellable: RunModelContext and friends stop promptly
-// when the caller's context ends, and the portal passes each request's
-// context through, so a disconnected browser stops burning CPU.
+// Model runs take a context and stop promptly when it ends, and the
+// portal passes each request's context through, so a disconnected
+// browser stops burning CPU.
 //
 // The deeper building blocks (the TOPMODEL engine, the calibration
 // toolkit, the cloud simulation, the WebSocket implementation) live in

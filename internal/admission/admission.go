@@ -650,48 +650,3 @@ func (c *Controller) adaptLocked() {
 	c.limitG.Set(int64(c.limit))
 	c.promoteLocked()
 }
-
-// ClassStats is one class's slice of a Stats snapshot.
-type ClassStats struct {
-	Admitted uint64 `json:"admitted"`
-	Shed     uint64 `json:"shed"`
-	Queued   uint64 `json:"queued"`
-	InFlight int    `json:"inFlight"`
-}
-
-// Stats is a point-in-time view of the admission gate for the /metrics
-// JSON document.
-type Stats struct {
-	// Limit is the current AIMD concurrency limit; InFlight the slots
-	// held across all classes; Clients the token-bucket table size.
-	Limit    int `json:"limit"`
-	InFlight int `json:"inFlight"`
-	Clients  int `json:"clients"`
-	// Classes is keyed by class name in priority order.
-	Classes map[string]ClassStats `json:"classes"`
-}
-
-// Stats snapshots the gate.
-func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{
-		Limit:    int(c.limit),
-		InFlight: c.total,
-		Clients:  c.lru.Len(),
-		Classes:  make(map[string]ClassStats, NumClasses),
-	}
-	for cl := Class(0); cl < NumClasses; cl++ {
-		var shed uint64
-		for r := 0; r < numReasons; r++ {
-			shed += c.shed[cl][r].Value()
-		}
-		s.Classes[cl.String()] = ClassStats{
-			Admitted: c.admitted[cl].Value(),
-			Shed:     shed,
-			Queued:   c.queuedTotal[cl].Value(),
-			InFlight: c.inflight[cl],
-		}
-	}
-	return s
-}

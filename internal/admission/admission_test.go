@@ -19,7 +19,7 @@ var testStart = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 func newTestController(t *testing.T, mutate func(*Config)) (*Controller, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(testStart)
-	cfg := Config{Clock: clk, RatePerSecond: 1e9, Burst: 1e9}
+	cfg := Config{Clock: clk, RatePerSecond: 1e9, Burst: 1e9, Metrics: metrics.NewRegistry(clk)}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -28,6 +28,12 @@ func newTestController(t *testing.T, mutate func(*Config)) (*Controller, *clock.
 		t.Fatalf("New: %v", err)
 	}
 	return c, clk
+}
+
+// admitted reads a class's evop_admission_admitted_total counter from
+// the controller's registry.
+func admitted(c *Controller, cl Class) uint64 {
+	return c.cfg.Metrics.Counter("evop_admission_admitted_total", "", metrics.L("class", cl.String())).Value()
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -160,9 +166,8 @@ func TestShedOrderingDeterministic(t *testing.T) {
 	if got := c.InFlight(); got != 0 {
 		t.Fatalf("in flight after release = %d, want 0", got)
 	}
-	st := c.Stats()
-	if st.Classes["ingest"].Admitted != 3 || st.Classes["live"].Admitted != 17 {
-		t.Fatalf("stats = %+v", st.Classes)
+	if got, want := [2]uint64{admitted(c, Ingest), admitted(c, Live)}, [2]uint64{3, 17}; got != want {
+		t.Fatalf("admitted ingest/live = %v, want %v", got, want)
 	}
 }
 
@@ -480,12 +485,11 @@ func TestChaosFlashCrowdStorm(t *testing.T) {
 			t.Fatalf("class %v queue depth = %d after storm, want 0", cl, d)
 		}
 	}
-	st := c3.Stats()
-	var admitted uint64
-	for _, cs := range st.Classes {
-		admitted += cs.Admitted
+	var total uint64
+	for cl := Class(0); cl < NumClasses; cl++ {
+		total += admitted(c3, cl)
 	}
-	if admitted == 0 {
+	if total == 0 {
 		t.Fatal("storm admitted nothing")
 	}
 }

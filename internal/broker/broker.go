@@ -29,9 +29,9 @@
 //
 // Push delivery rides the internal/push hub on per-session topics and
 // coalesces per session: when a subscriber falls behind, the oldest
-// queued update is discarded (and counted in DroppedUpdates) so the
-// newest session state — notably an UpdateMigrated redirect — always
-// arrives. A dropped update therefore means "superseded", never "the
+// queued update is discarded (and counted in evop_push_coalesced_total)
+// so the newest session state — notably an UpdateMigrated redirect —
+// always arrives. A dropped update therefore means "superseded", never "the
 // browser missed the final state".
 package broker
 
@@ -200,8 +200,9 @@ type Broker struct {
 	queued     map[string]bool
 	numPending int
 	// suspended marks pending sessions that previously had an instance and
-	// lost it (Suspend); suspendedTotal counts every suspension ever. The
-	// LB surfaces both so a chaos run can assert nobody is left stranded.
+	// lost it (Suspend); suspendedTotal counts every suspension ever. Both
+	// surface in the registry so a chaos run can assert nobody is left
+	// stranded.
 	suspended      map[string]bool
 	suspendedTotal *metrics.Counter
 	// retained is a ring of closed-session IDs (oldest at head) whose
@@ -249,7 +250,7 @@ func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
 		return nil, fmt.Errorf("subscriber buffer %d: %w", opts.SubscriberBuffer, ErrBadConfig)
 	}
 	reg := opts.Metrics
-	return &Broker{
+	b := &Broker{
 		clk:          clk,
 		retention:    retention,
 		subBuf:       subBuf,
@@ -268,7 +269,17 @@ func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
 			"Sessions suspended after losing their instance."),
 		closedTotal: reg.Counter("evop_broker_sessions_closed_total",
 			"Sessions closed over the broker's lifetime."),
-	}, nil
+	}
+	reg.GaugeFunc("evop_broker_sessions_suspended",
+		"Sessions suspended after losing their instance, still waiting for a new one.",
+		func() float64 {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return float64(len(b.suspended))
+		})
+	reg.GaugeFunc("evop_push_subscribers", "Live push-hub subscriptions.",
+		func() float64 { return float64(b.hub.Subscribers()) }, metrics.L("hub", "sessions"))
+	return b, nil
 }
 
 // SetPlacer registers the placement authority (the Load Balancer).
@@ -574,10 +585,10 @@ func (b *Broker) Subscribe(sessionID string) (<-chan Update, error) {
 
 // pushLocked delivers an update on the session's topic. The hub
 // coalesces per subscriber: a full buffer evicts the oldest queued
-// update (counted in DroppedUpdates) so the newest session state — e.g.
-// a migration redirect — is never lost, and a publisher never spins
-// against an actively draining reader (one eviction makes room, and the
-// per-subscription lock keeps it that way).
+// update (counted in evop_push_coalesced_total) so the newest session
+// state — e.g. a migration redirect — is never lost, and a publisher
+// never spins against an actively draining reader (one eviction makes
+// room, and the per-subscription lock keeps it that way).
 func (b *Broker) pushLocked(sessionID string, u Update) {
 	b.hub.Publish(u, push.TopicSession(sessionID))
 }
@@ -598,7 +609,7 @@ func (b *Broker) Session(id string) (Session, error) {
 
 // Sessions returns snapshots of all live (pending or active) sessions in
 // creation order. Closed sessions are not included; see RecentlyClosed and
-// ClosedTotal.
+// evop_broker_sessions_closed_total.
 func (b *Broker) Sessions() []Session {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -647,41 +658,9 @@ func (b *Broker) PendingCount() int {
 	return b.numPending
 }
 
-// SuspendedCount returns how many sessions are currently suspended:
-// pending because they lost their instance, still waiting for a new one.
-func (b *Broker) SuspendedCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.suspended)
-}
-
-// SuspendedTotal returns how many suspensions have ever happened.
-func (b *Broker) SuspendedTotal() int {
-	return int(b.suspendedTotal.Value())
-}
-
 // LiveCount returns how many sessions are pending or active.
 func (b *Broker) LiveCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.sessions)
-}
-
-// ClosedTotal returns how many sessions have ever been closed.
-func (b *Broker) ClosedTotal() int {
-	return int(b.closedTotal.Value())
-}
-
-// DroppedUpdates reports push messages superseded by newer ones for slow
-// subscribers. A dropped update is stale state the browser no longer
-// needs, not a lost redirect: the latest update is always delivered.
-func (b *Broker) DroppedUpdates() int {
-	return int(b.hub.Stats().Coalesced)
-}
-
-// PushStats returns the session-update hub's counters (subscribers,
-// published, delivered, coalesced; per shard) for the /metrics push
-// section.
-func (b *Broker) PushStats() push.Stats {
-	return b.hub.Stats()
 }

@@ -7,9 +7,38 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/cloud"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
+
+// newMetered returns a broker recording into a fresh registry.
+func newMetered(t *testing.T, clk clock.Clock, opts Options) (*Broker, *metrics.Registry) {
+	t.Helper()
+	opts.Metrics = metrics.NewRegistry(clk)
+	b, err := NewWithOptions(clk, opts)
+	if err != nil {
+		t.Fatalf("NewWithOptions: %v", err)
+	}
+	return b, opts.Metrics
+}
+
+// metricValue reads the snapshot value of the series with this id, or
+// the sum over every series of this name. A series that was never
+// registered fails the test instead of reading a fresh zero.
+func metricValue(t *testing.T, reg *metrics.Registry, id string) float64 {
+	t.Helper()
+	sum, found := 0.0, false
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == id || m.SeriesID() == id {
+			sum, found = sum+m.Value, true
+		}
+	}
+	if !found {
+		t.Fatalf("series %s not registered", id)
+	}
+	return sum
+}
 
 // fixedPlacer returns a preset instance (or nil).
 type fixedPlacer struct {
@@ -282,12 +311,15 @@ func TestSessionsViews(t *testing.T) {
 
 func TestDroppedUpdatesCounted(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, reg := newMetered(t, clk, Options{})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	s, _ := b.Connect("slow", "topmodel")
 	if _, err := b.Subscribe(s.ID); err != nil {
 		t.Fatalf("Subscribe: %v", err)
+	}
+	if got := metricValue(t, reg, `evop_push_subscribers{hub="sessions"}`); got != 1 {
+		t.Fatalf("session hub subscribers = %v, want 1", got)
 	}
 	// Overflow the 16-slot buffer without draining.
 	inst2 := testInstance(t, clk)
@@ -300,7 +332,7 @@ func TestDroppedUpdatesCounted(t *testing.T) {
 			t.Fatalf("Migrate %d: %v", i, err)
 		}
 	}
-	if b.DroppedUpdates() == 0 {
+	if metricValue(t, reg, "evop_push_coalesced_total") == 0 {
 		t.Fatal("expected dropped updates when subscriber stalls")
 	}
 }
@@ -331,10 +363,7 @@ func TestSubscribeAfterDisconnect(t *testing.T) {
 
 func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{Retention: 3})
-	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
-	}
+	b, reg := newMetered(t, clk, Options{Retention: 3})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 	var ids []string
@@ -348,8 +377,8 @@ func TestRetentionRingEvictsOldClosed(t *testing.T) {
 	if got := b.LiveCount(); got != 0 {
 		t.Fatalf("LiveCount = %d, want 0", got)
 	}
-	if got := b.ClosedTotal(); got != 8 {
-		t.Fatalf("ClosedTotal = %d, want 8", got)
+	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != 8 {
+		t.Fatalf("closed sessions = %d, want 8", got)
 	}
 	recent := b.RecentlyClosed()
 	if len(recent) != 3 {
@@ -448,10 +477,7 @@ func TestMigratePendingSessionClearsStaleQueueEntry(t *testing.T) {
 
 func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{SubscriberBuffer: 4})
-	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
-	}
+	b, reg := newMetered(t, clk, Options{SubscriberBuffer: 4})
 	instA := testInstance(t, clk)
 	instB := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: instA})
@@ -469,7 +495,7 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 			t.Fatalf("Migrate %d: %v", i, err)
 		}
 	}
-	if b.DroppedUpdates() == 0 {
+	if metricValue(t, reg, "evop_push_coalesced_total") == 0 {
 		t.Fatal("expected superseded updates to be counted")
 	}
 	// When the subscriber finally drains, the newest state — the final
@@ -523,10 +549,7 @@ func TestSlowSubscriberStillGetsFinalMigration(t *testing.T) {
 // session count must not grow any index SessionsOn/Sessions touch.
 func TestChurnKeepsMemoryBounded(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, err := NewWithOptions(clk, Options{Retention: 64})
-	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
-	}
+	b, reg := newMetered(t, clk, Options{Retention: 64})
 	inst := testInstance(t, clk)
 	b.SetPlacer(&fixedPlacer{inst: inst})
 
@@ -549,8 +572,8 @@ func TestChurnKeepsMemoryBounded(t *testing.T) {
 	if got := b.LiveCount(); got != len(live) {
 		t.Fatalf("LiveCount = %d, want %d", got, len(live))
 	}
-	if got := b.ClosedTotal(); got != cycles-len(live) {
-		t.Fatalf("ClosedTotal = %d, want %d", got, cycles-len(live))
+	if got := reg.Counter("evop_broker_sessions_closed_total", "").Value(); got != uint64(cycles-len(live)) {
+		t.Fatalf("closed sessions = %d, want %d", got, cycles-len(live))
 	}
 	// White-box: every structure is bounded by live + retention, never by
 	// the 100k historical sessions.
@@ -610,7 +633,11 @@ func TestStateAndKindStrings(t *testing.T) {
 // address, and the suspended counters must track the whole arc.
 func TestSuspendResumePushSequence(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	b, _ := New(clk)
+	b, reg := newMetered(t, clk, Options{})
+	suspended := func() (now, ever float64) {
+		return metricValue(t, reg, "evop_broker_sessions_suspended"),
+			metricValue(t, reg, "evop_broker_sessions_suspended_total")
+	}
 	first := testInstance(t, clk)
 	placer := &fixedPlacer{inst: first}
 	b.SetPlacer(placer)
@@ -628,8 +655,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Suspend(s.ID, "instance "+first.ID()+" malfunctioning"); err != nil {
 		t.Fatalf("Suspend: %v", err)
 	}
-	if b.SuspendedCount() != 1 || b.SuspendedTotal() != 1 {
-		t.Fatalf("suspended count/total = %d/%d, want 1/1", b.SuspendedCount(), b.SuspendedTotal())
+	if now, ever := suspended(); now != 1 || ever != 1 {
+		t.Fatalf("suspended count/total = %v/%v, want 1/1", now, ever)
 	}
 	if first.Sessions() != 0 {
 		t.Fatalf("old instance still holds %d sessions", first.Sessions())
@@ -639,8 +666,11 @@ func TestSuspendResumePushSequence(t *testing.T) {
 		t.Fatalf("first push = %+v, want suspended with no instance", u)
 	}
 	// Nothing to assign yet: the session stays suspended.
-	if got := b.AssignPending(); got != 0 || b.SuspendedCount() != 1 {
-		t.Fatalf("premature assignment: assigned=%d suspended=%d", got, b.SuspendedCount())
+	if got := b.AssignPending(); got != 0 {
+		t.Fatalf("premature assignment: assigned=%d", got)
+	}
+	if now, _ := suspended(); now != 1 {
+		t.Fatalf("suspended after empty assignment = %v, want 1", now)
 	}
 
 	// The replacement boots; the session resumes there.
@@ -650,11 +680,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if got := b.AssignPending(); got != 1 {
 		t.Fatalf("AssignPending = %d, want 1", got)
 	}
-	if b.SuspendedCount() != 0 {
-		t.Fatalf("suspended count after resume = %d, want 0", b.SuspendedCount())
-	}
-	if b.SuspendedTotal() != 1 {
-		t.Fatalf("suspended total after resume = %d, want 1 (historic)", b.SuspendedTotal())
+	if now, ever := suspended(); now != 0 || ever != 1 {
+		t.Fatalf("after resume: count/total = %v/%v, want 0/1 (historic)", now, ever)
 	}
 	u = <-ch
 	if u.Kind != UpdateAssigned || u.Session.InstanceAddr != second.Addr() {
@@ -668,8 +695,8 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Migrate(s.ID, first, "rescue"); err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
-	if b.SuspendedCount() != 0 || b.SuspendedTotal() != 2 {
-		t.Fatalf("after migrate: count/total = %d/%d, want 0/2", b.SuspendedCount(), b.SuspendedTotal())
+	if now, ever := suspended(); now != 0 || ever != 2 {
+		t.Fatalf("after migrate: count/total = %v/%v, want 0/2", now, ever)
 	}
 	u = <-ch // the suspension push
 	u = <-ch // the migrate push: a pending session rebinding arrives as "assigned"
@@ -684,7 +711,7 @@ func TestSuspendResumePushSequence(t *testing.T) {
 	if err := b.Disconnect(s.ID); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
-	if b.SuspendedCount() != 0 || b.SuspendedTotal() != 3 {
-		t.Fatalf("after disconnect: count/total = %d/%d, want 0/3", b.SuspendedCount(), b.SuspendedTotal())
+	if now, ever := suspended(); now != 0 || ever != 3 {
+		t.Fatalf("after disconnect: count/total = %v/%v, want 0/3", now, ever)
 	}
 }

@@ -126,9 +126,6 @@ func (in *Instance) State() InstanceState {
 	return in.state
 }
 
-// LaunchedAt returns the launch time.
-func (in *Instance) LaunchedAt() time.Time { return in.launched }
-
 func (in *Instance) becomeRunning() {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +36,6 @@ import (
 	"evop/internal/modellib"
 	"evop/internal/ogc/sos"
 	"evop/internal/ogc/wps"
-	"evop/internal/push"
 	"evop/internal/resilience"
 	"evop/internal/rest"
 	"evop/internal/runcache"
@@ -367,30 +368,60 @@ func (o *Observatory) MetricsRegistry() *metrics.Registry {
 // GaugeFunc callbacks run during Snapshot outside the registry lock, so
 // they may take component locks freely.
 func (o *Observatory) registerGauges() {
-	o.registry.GaugeFunc("evop_instances", "Cloud instances by kind.",
-		func() float64 { return float64(o.countInstances(cloud.Private)) },
-		metrics.L("kind", "private"))
-	o.registry.GaugeFunc("evop_instances", "Cloud instances by kind.",
-		func() float64 { return float64(o.countInstances(cloud.Public)) },
-		metrics.L("kind", "public"))
-	o.registry.GaugeFunc("evop_sessions", "Broker sessions by state.",
+	reg := o.registry
+	for _, kind := range []cloud.ProviderKind{cloud.Private, cloud.Public} {
+		reg.GaugeFunc("evop_instances", "Cloud instances by kind.",
+			o.countInstances(func(in *cloud.Instance) bool { return in.Kind() == kind }),
+			metrics.L("kind", kind.String()))
+	}
+	reg.GaugeFunc("evop_instances_booting", "Cloud instances still booting.",
+		o.countInstances(func(in *cloud.Instance) bool { return in.State() == cloud.StateBooting }))
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
 		func() float64 { return float64(o.countSessions(broker.Active)) },
 		metrics.L("state", "active"))
-	o.registry.GaugeFunc("evop_sessions", "Broker sessions by state.",
+	reg.GaugeFunc("evop_sessions", "Broker sessions by state.",
 		func() float64 { return float64(o.countSessions(broker.Pending)) },
 		metrics.L("state", "pending"))
-	o.registry.GaugeFunc("evop_public_cost", "Accrued public-cloud cost.",
+	reg.GaugeFunc("evop_public_cost", "Accrued public-cloud cost.",
 		o.Public.CostAccrued)
+	reg.GaugeFunc("evop_crosscloud_failovers",
+		"Launches that succeeded on a later provider after an earlier one was skipped or failed.",
+		func() float64 { return float64(o.Multi.Failovers()) })
+	reg.GaugeFunc("evop_sensor_registered", "Sensors deployed in the network.",
+		func() float64 { return float64(len(o.Network.Sensors())) })
+	reg.GaugeFunc("evop_workflow_runs", "Workflow runs executed.",
+		func() float64 { return float64(len(o.Workflows.Runs())) })
+	reg.GaugeFunc("evop_process_uptime_seconds", "Process uptime on the observatory clock.",
+		func() float64 { return reg.Uptime().Seconds() })
+	reg.GaugeFunc("evop_process_goroutines", "Live goroutines.",
+		func() float64 { return float64(runtime.NumGoroutine()) })
+	reg.GaugeFunc("evop_process_heap_bytes", "Bytes of live and not-yet-swept heap objects.",
+		heapBytes)
 }
 
-func (o *Observatory) countInstances(kind cloud.ProviderKind) int {
-	n := 0
-	for _, in := range o.Multi.Instances() {
-		if in.Kind() == kind {
-			n++
-		}
+// heapBytes reads the heap size through runtime/metrics, which, unlike
+// runtime.ReadMemStats, does not stop the world on every scrape.
+func heapBytes() float64 {
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0
 	}
-	return n
+	return float64(s[0].Value.Uint64())
+}
+
+// countInstances returns a gauge callback counting live instances that
+// match.
+func (o *Observatory) countInstances(match func(*cloud.Instance) bool) func() float64 {
+	return func() float64 {
+		n := 0
+		for _, in := range o.Multi.Instances() {
+			if match(in) {
+				n++
+			}
+		}
+		return float64(n)
+	}
 }
 
 func (o *Observatory) countSessions(state broker.SessionState) int {
@@ -597,18 +628,13 @@ type RunResult struct {
 	Scenario string `json:"scenario"`
 }
 
-// DriestStormWindow returns the hour offset (from the forcing start) at
-// the end of the driest windowDays stretch of the catchment's forcing
-// record — the placement at which an injected design storm best isolates
-// land-use effects (on saturated ground all scenarios converge because
-// runoff approaches rainfall).
-func (o *Observatory) DriestStormWindow(catchmentID string, windowDays int) (int, error) {
-	return o.DriestStormWindowContext(context.Background(), catchmentID, windowDays)
-}
-
-// DriestStormWindowContext is DriestStormWindow honouring cancellation:
-// the scan over candidate placements checks ctx periodically, so an
-// abandoned request stops burning CPU on a long forcing record.
+// DriestStormWindowContext returns the hour offset (from the forcing
+// start) at the end of the driest windowDays stretch of the catchment's
+// forcing record — the placement at which an injected design storm best
+// isolates land-use effects (on saturated ground all scenarios converge
+// because runoff approaches rainfall). The scan over candidate
+// placements checks ctx periodically, so an abandoned request stops
+// burning CPU on a long forcing record.
 func (o *Observatory) DriestStormWindowContext(ctx context.Context, catchmentID string, windowDays int) (int, error) {
 	if windowDays < 1 {
 		return 0, fmt.Errorf("windowDays %d: %w", windowDays, ErrBadConfig)
@@ -662,32 +688,22 @@ func (r RunRequest) familyKey() string {
 	return fmt.Sprintf("c=%s|s=%s|m=%s|d=%s", r.CatchmentID, r.ScenarioID, r.Model, r.RainDatasetID)
 }
 
-// RunModel executes a model run on demand. This is the computation the
-// WPS processes and the portal's modelling widget invoke. Identical
-// requests are answered from a bounded LRU cache, and concurrent
-// duplicates coalesce onto a single simulation; the returned RunResult
-// is shared and must not be mutated.
-func (o *Observatory) RunModel(req RunRequest) (*RunResult, error) {
-	return o.RunModelContext(context.Background(), req)
-}
-
-// RunModelContext is RunModel under a caller context: a canceled caller
-// stops waiting immediately, and the underlying simulation is abandoned
-// only once every coalesced waiter has gone.
+// RunModelContext executes a model run on demand. This is the
+// computation the WPS processes and the portal's modelling widget
+// invoke. Identical requests are answered from a bounded LRU cache, and
+// concurrent duplicates coalesce onto a single simulation; the returned
+// RunResult is shared and must not be mutated. A canceled caller stops
+// waiting immediately, and the underlying simulation is abandoned only
+// once every coalesced waiter has gone.
 func (o *Observatory) RunModelContext(ctx context.Context, req RunRequest) (*RunResult, error) {
 	res, _, err := o.RunModelCachedContext(ctx, req)
 	return res, err
 }
 
-// RunModelCached is RunModel, also reporting whether the result was
-// computed (miss), served from cache (hit), shared with a concurrent
-// identical request (coalesced) or abandoned (canceled).
-func (o *Observatory) RunModelCached(req RunRequest) (*RunResult, runcache.Outcome, error) {
-	return o.RunModelCachedContext(context.Background(), req)
-}
-
-// RunModelCachedContext is RunModelCached under a caller context. Every
-// completed run also refreshes its family's stale fallback (see
+// RunModelCachedContext is RunModelContext, also reporting whether the
+// result was computed (miss), served from cache (hit), shared with a
+// concurrent identical request (coalesced) or abandoned (canceled).
+// Every completed run also refreshes its family's stale fallback (see
 // StaleRun).
 func (o *Observatory) RunModelCachedContext(ctx context.Context, req RunRequest) (*RunResult, runcache.Outcome, error) {
 	return o.runs.DoFamily(ctx, req.cacheKey(), req.familyKey(), func(ctx context.Context) (*RunResult, error) {
@@ -704,7 +720,7 @@ func (o *Observatory) StaleRun(req RunRequest) (*RunResult, bool) {
 	return o.runs.Stale(req.familyKey())
 }
 
-// runModel is the uncached simulation behind RunModel. Its ctx is the
+// runModel is the uncached simulation behind RunModelContext. Its ctx is the
 // flight's: detached from any single requester and canceled only when no
 // requester remains interested.
 func (o *Observatory) runModel(ctx context.Context, req RunRequest) (*RunResult, error) {
@@ -848,15 +864,10 @@ type QualityResult struct {
 	NitrateChange    float64 `json:"nitrateChange"`
 }
 
-// RunQuality answers the water-quality storyboard from Section VI: run
-// the hydrology under a scenario, export sediment and nutrients, and
-// compare with baseline land use.
-func (o *Observatory) RunQuality(catchmentID, scenarioID string) (*QualityResult, error) {
-	return o.RunQualityContext(context.Background(), catchmentID, scenarioID)
-}
-
-// RunQualityContext is RunQuality under a caller context; the baseline
-// and scenario model runs each honour cancellation.
+// RunQualityContext answers the water-quality storyboard from Section
+// VI: run the hydrology under a scenario, export sediment and nutrients,
+// and compare with baseline land use. The baseline and scenario model
+// runs each honour cancellation.
 func (o *Observatory) RunQualityContext(ctx context.Context, catchmentID, scenarioID string) (*QualityResult, error) {
 	c, ok := o.Catchments.Get(catchmentID)
 	if !ok {
@@ -926,12 +937,6 @@ type NationalLoads struct {
 	PerCatchment map[string]quality.Loads `json:"perCatchment"`
 }
 
-// RunNationalQuality is RunNationalQualityContext with a background
-// context.
-func (o *Observatory) RunNationalQuality(catchmentIDs, scenarioIDs []string) (map[string]*NationalLoads, error) {
-	return o.RunNationalQualityContext(context.Background(), catchmentIDs, scenarioIDs)
-}
-
 // RunNationalQualityContext fans every (catchment, scenario) quality
 // run out across the shared compute pool as bulk-class work and
 // aggregates the exports per scenario. A nil catchmentIDs means every
@@ -986,7 +991,7 @@ func (o *Observatory) RunNationalQualityContext(ctx context.Context, catchmentID
 	return out, nil
 }
 
-// modelProcess adapts RunModel to the WPS Process interface.
+// modelProcess adapts RunModelContext to the WPS Process interface.
 type modelProcess struct {
 	obs   *Observatory
 	model string
@@ -1070,115 +1075,6 @@ func (p *modelProcess) Execute(ctx context.Context, inputs map[string]string) (m
 	}, nil
 }
 
-// InfraMetrics is an operational snapshot of the observatory — the
-// monitoring view an operator (or the Admin UI the paper's team used)
-// watches.
-type InfraMetrics struct {
-	PrivateInstances int `json:"privateInstances"`
-	PublicInstances  int `json:"publicInstances"`
-	BootingInstances int `json:"bootingInstances"`
-	ActiveSessions   int `json:"activeSessions"`
-	PendingSessions  int `json:"pendingSessions"`
-	// ClosedSessions counts every session ever closed (the broker only
-	// retains a bounded window of closed-session snapshots).
-	ClosedSessions int     `json:"closedSessions"`
-	PublicCost     float64 `json:"publicCost"`
-	LBTicks        int     `json:"lbTicks"`
-	LBReplacements int     `json:"lbReplacements"`
-	DroppedUpdates int     `json:"droppedUpdates"`
-	Sensors        int     `json:"sensors"`
-	WorkflowRuns   int     `json:"workflowRuns"`
-	// ModelRunCache reports the model-run cache's hit/miss/coalesced
-	// counters and current size.
-	ModelRunCache runcache.Stats `json:"modelRunCache"`
-	// Resilience reports the fault-handling state: per-provider breaker
-	// and failure counters, cross-provider failovers, the LB's retry
-	// bookkeeping and the broker's suspended-session counts.
-	Resilience ResilienceMetrics `json:"resilience"`
-	// Push reports the live-telemetry fan-out hubs: subscribers,
-	// published, delivered and coalesced counts, per shard, for both the
-	// sensor-reading hub and the broker's session-update hub.
-	Push PushMetrics `json:"push"`
-	// SensorRead reports the sensor read path: zero-copy series views,
-	// rollup-index aggregate queries and raw-scan fallbacks.
-	SensorRead sensor.ReadStats `json:"sensorRead"`
-}
-
-// PushMetrics is the live fan-out slice of the operational snapshot.
-type PushMetrics struct {
-	// Sensors is the sensor network's reading hub (feeds /ws/live).
-	Sensors push.Stats `json:"sensors"`
-	// Sessions is the Resource Broker's session-update hub (feeds
-	// /ws/session).
-	Sessions push.Stats `json:"sessions"`
-}
-
-// ResilienceMetrics is the fault-handling slice of the operational
-// snapshot.
-type ResilienceMetrics struct {
-	// Providers holds one health snapshot per cloud, breaker state
-	// included, in registration order.
-	Providers []crosscloud.ProviderHealth `json:"providers"`
-	// Failovers counts launches that succeeded on a later provider after
-	// an earlier one was skipped or failed.
-	Failovers int `json:"failovers"`
-	// LB is the load balancer's robustness counters (launch/terminate
-	// failures, retries, outstanding terminations, in-flight
-	// replacements).
-	LB loadbalancer.Stats `json:"lb"`
-	// SuspendedSessions is how many sessions are currently waiting for a
-	// new instance after losing one; SuspendedEver counts every
-	// suspension since boot.
-	SuspendedSessions int `json:"suspendedSessions"`
-	SuspendedEver     int `json:"suspendedEver"`
-}
-
-// Metrics returns the current operational snapshot.
-func (o *Observatory) Metrics() InfraMetrics {
-	m := InfraMetrics{
-		PublicCost:     o.Public.CostAccrued(),
-		LBTicks:        o.LB.Ticks(),
-		LBReplacements: o.LB.Replaced(),
-		DroppedUpdates: o.Broker.DroppedUpdates(),
-		Sensors:        len(o.Network.Sensors()),
-		WorkflowRuns:   len(o.Workflows.Runs()),
-		ModelRunCache:  o.runs.Stats(),
-		Push: PushMetrics{
-			Sensors:  o.Network.PushStats(),
-			Sessions: o.Broker.PushStats(),
-		},
-		SensorRead: o.Network.ReadStats(),
-		Resilience: ResilienceMetrics{
-			Providers:         o.Multi.Health(),
-			Failovers:         o.Multi.Failovers(),
-			LB:                o.LB.Stats(),
-			SuspendedSessions: o.Broker.SuspendedCount(),
-			SuspendedEver:     o.Broker.SuspendedTotal(),
-		},
-	}
-	for _, in := range o.Multi.Instances() {
-		if in.State() == cloud.StateBooting {
-			m.BootingInstances++
-		}
-		switch in.Kind() {
-		case cloud.Private:
-			m.PrivateInstances++
-		case cloud.Public:
-			m.PublicInstances++
-		}
-	}
-	m.ClosedSessions = o.Broker.ClosedTotal()
-	for _, s := range o.Broker.Sessions() {
-		switch s.State {
-		case broker.Active:
-			m.ActiveSessions++
-		case broker.Pending:
-			m.PendingSessions++
-		}
-	}
-	return m
-}
-
 // LowFlowResult is the drought widget output: the low-flow report under
 // a scenario, with the baseline for comparison.
 type LowFlowResult struct {
@@ -1187,15 +1083,10 @@ type LowFlowResult struct {
 	Baseline lowflow.Summary `json:"baseline"`
 }
 
-// RunLowFlow answers the drought-side questions (the paper's motivation
-// cites droughts alongside floods): flow-duration quantiles, baseflow
-// index and sub-Q90 drought spells under a land-use scenario.
-func (o *Observatory) RunLowFlow(catchmentID, scenarioID string) (*LowFlowResult, error) {
-	return o.RunLowFlowContext(context.Background(), catchmentID, scenarioID)
-}
-
-// RunLowFlowContext is RunLowFlow under a caller context; the baseline
-// and scenario model runs each honour cancellation.
+// RunLowFlowContext answers the drought-side questions (the paper's
+// motivation cites droughts alongside floods): flow-duration quantiles,
+// baseflow index and sub-Q90 drought spells under a land-use scenario.
+// The baseline and scenario model runs each honour cancellation.
 func (o *Observatory) RunLowFlowContext(ctx context.Context, catchmentID, scenarioID string) (*LowFlowResult, error) {
 	if scenarioID == "" {
 		scenarioID = scenario.Baseline

@@ -11,6 +11,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/cloud"
 	"evop/internal/hydro/topmodel"
+	"evop/internal/resilience"
 	"evop/internal/runcache"
 	"evop/internal/scenario"
 	"evop/internal/timeseries"
@@ -33,6 +34,24 @@ func newObs(t *testing.T) (*Observatory, *clock.Simulated) {
 		t.Fatalf("New: %v", err)
 	}
 	return o, clk
+}
+
+// metricValue reads the snapshot value of the series with this id, or
+// the sum over every series of this name, from the observatory's
+// registry. A series that was never registered fails the test instead
+// of reading a fresh zero.
+func metricValue(t *testing.T, o *Observatory, id string) float64 {
+	t.Helper()
+	sum, found := 0.0, false
+	for _, m := range o.MetricsRegistry().Snapshot().Metrics {
+		if m.Name == id || m.SeriesID() == id {
+			sum, found = sum+m.Value, true
+		}
+	}
+	if !found {
+		t.Fatalf("series %s not registered", id)
+	}
+	return sum
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -97,16 +116,17 @@ func TestStartStopLifecycle(t *testing.T) {
 	o, clk := newObs(t)
 	o.Start()
 	clk.Advance(20 * time.Minute) // past the slowest sensor interval
-	if o.LB.Ticks() == 0 {
+	lbTicks := o.MetricsRegistry().Counter("evop_lb_ticks_total", "")
+	if lbTicks.Value() == 0 {
 		t.Fatal("LB never ticked")
 	}
 	if _, err := o.Network.Latest("morland-level-1"); err != nil {
 		t.Fatalf("sensors not sampling: %v", err)
 	}
 	o.Stop()
-	ticks := o.LB.Ticks()
+	ticks := lbTicks.Value()
 	clk.Advance(time.Minute)
-	if o.LB.Ticks() != ticks {
+	if lbTicks.Value() != ticks {
 		t.Fatal("LB kept ticking after Stop")
 	}
 }
@@ -142,7 +162,7 @@ func TestForcingCachedAndDeterministic(t *testing.T) {
 
 func TestRunModelTOPMODEL(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel"})
+	res, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel"})
 	if err != nil {
 		t.Fatalf("RunModel: %v", err)
 	}
@@ -190,7 +210,7 @@ func TestRunModelScenarioOrdering(t *testing.T) {
 	stormAt := epochStart.Add(time.Duration(stormAtHours) * time.Hour)
 	peaks := make(map[string]float64)
 	for _, sc := range []string{scenario.Baseline, scenario.Afforestation, scenario.Compaction} {
-		res, err := o.RunModel(RunRequest{
+		res, err := o.RunModelContext(context.Background(), RunRequest{
 			CatchmentID: "morland", Model: "topmodel", ScenarioID: sc,
 			Storm: storm, StormAtHours: stormAtHours,
 		})
@@ -213,7 +233,7 @@ func TestRunModelScenarioOrdering(t *testing.T) {
 
 func TestRunModelFUSE(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunModel(RunRequest{CatchmentID: "tarland", Model: "fuse"})
+	res, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "tarland", Model: "fuse"})
 	if err != nil {
 		t.Fatalf("RunModel fuse: %v", err)
 	}
@@ -224,18 +244,18 @@ func TestRunModelFUSE(t *testing.T) {
 
 func TestRunModelErrors(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunModel(RunRequest{CatchmentID: "thames", Model: "topmodel"}); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "thames", Model: "topmodel"}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown catchment err = %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "hec-ras"}); !errors.Is(err, ErrUnknownModel) {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "hec-ras"}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", ScenarioID: "urban"}); !errors.Is(err, scenario.ErrUnknown) {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", ScenarioID: "urban"}); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 	bad := topmodel.DefaultParams()
 	bad.M = -1
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &bad}); err == nil {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &bad}); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }
@@ -276,7 +296,7 @@ func TestWPSProcessInputErrors(t *testing.T) {
 
 func TestRunQuality(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunQuality("morland", "compaction")
+	res, err := o.RunQualityContext(context.Background(), "morland", "compaction")
 	if err != nil {
 		t.Fatalf("RunQuality: %v", err)
 	}
@@ -290,7 +310,7 @@ func TestRunQuality(t *testing.T) {
 		t.Fatalf("compaction should raise sediment and P: %+v", res)
 	}
 
-	aff, err := o.RunQuality("morland", "afforestation")
+	aff, err := o.RunQualityContext(context.Background(), "morland", "afforestation")
 	if err != nil {
 		t.Fatalf("RunQuality afforestation: %v", err)
 	}
@@ -299,7 +319,7 @@ func TestRunQuality(t *testing.T) {
 	}
 
 	// Baseline vs itself is zero change; empty scenario defaults to it.
-	base, err := o.RunQuality("morland", "")
+	base, err := o.RunQualityContext(context.Background(), "morland", "")
 	if err != nil {
 		t.Fatalf("RunQuality baseline: %v", err)
 	}
@@ -310,10 +330,10 @@ func TestRunQuality(t *testing.T) {
 
 func TestRunQualityErrors(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunQuality("thames", "baseline"); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.RunQualityContext(context.Background(), "thames", "baseline"); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unknown catchment err = %v", err)
 	}
-	if _, err := o.RunQuality("morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
+	if _, err := o.RunQualityContext(context.Background(), "morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 }
@@ -325,7 +345,7 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 	o, _ := newObs(t)
 	catchments := []string{"morland", "tarland"}
 	scenarios := []string{"baseline", "compaction"}
-	got, err := o.RunNationalQuality(catchments, scenarios)
+	got, err := o.RunNationalQualityContext(context.Background(), catchments, scenarios)
 	if err != nil {
 		t.Fatalf("RunNationalQuality: %v", err)
 	}
@@ -336,7 +356,7 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 		}
 		var sed, phos, nit float64
 		for _, cid := range catchments {
-			res, err := o.RunQuality(cid, sid)
+			res, err := o.RunQualityContext(context.Background(), cid, sid)
 			if err != nil {
 				t.Fatalf("sequential RunQuality(%s,%s): %v", cid, sid, err)
 			}
@@ -357,7 +377,7 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 		}
 	}
 	// Defaults: every catchment × every scenario.
-	all, err := o.RunNationalQuality(nil, nil)
+	all, err := o.RunNationalQualityContext(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatalf("RunNationalQuality(nil,nil): %v", err)
 	}
@@ -373,7 +393,7 @@ func TestRunNationalQualityMatchesSequential(t *testing.T) {
 
 func TestDriestStormWindow(t *testing.T) {
 	o, _ := newObs(t)
-	hours, err := o.DriestStormWindow("morland", 5)
+	hours, err := o.DriestStormWindowContext(context.Background(), "morland", 5)
 	if err != nil {
 		t.Fatalf("DriestStormWindow: %v", err)
 	}
@@ -395,13 +415,13 @@ func TestDriestStormWindow(t *testing.T) {
 			t.Fatalf("window at %d (%.1f mm) beaten by %d (%.1f mm)", hours, best, start, sumAt(start))
 		}
 	}
-	if _, err := o.DriestStormWindow("thames", 5); err == nil {
+	if _, err := o.DriestStormWindowContext(context.Background(), "thames", 5); err == nil {
 		t.Fatal("unknown catchment accepted")
 	}
-	if _, err := o.DriestStormWindow("morland", 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.DriestStormWindowContext(context.Background(), "morland", 0); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad window err = %v", err)
 	}
-	if _, err := o.DriestStormWindow("morland", 100); !errors.Is(err, ErrBadConfig) {
+	if _, err := o.DriestStormWindowContext(context.Background(), "morland", 100); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("oversized window err = %v", err)
 	}
 }
@@ -435,24 +455,21 @@ func TestObservatorySoak(t *testing.T) {
 			}
 		}
 		if step%36 == 35 { // every 6 simulated hours, checkpoint
-			m := o.Metrics()
-			if m.ActiveSessions+m.PendingSessions < len(open) {
-				t.Fatalf("step %d: %d active + %d pending < %d open sessions",
-					step, m.ActiveSessions, m.PendingSessions, len(open))
+			if live := metricValue(t, o, "evop_sessions"); live < float64(len(open)) {
+				t.Fatalf("step %d: %v active + pending < %d open sessions", step, live, len(open))
 			}
-			if m.PrivateInstances+m.PublicInstances == 0 {
+			if metricValue(t, o, "evop_instances") == 0 {
 				t.Fatalf("step %d: no instances alive", step)
 			}
 		}
 	}
 	// Converge and verify nothing was lost.
 	clk.Advance(30 * time.Minute)
-	m := o.Metrics()
-	if m.PendingSessions != 0 {
-		t.Fatalf("pending sessions after convergence: %d", m.PendingSessions)
+	if pending := metricValue(t, o, `evop_sessions{state="pending"}`); pending != 0 {
+		t.Fatalf("pending sessions after convergence: %v", pending)
 	}
-	if m.ActiveSessions != len(open) {
-		t.Fatalf("active = %d, open = %d", m.ActiveSessions, len(open))
+	if active := metricValue(t, o, `evop_sessions{state="active"}`); active != float64(len(open)) {
+		t.Fatalf("active = %v, open = %d", active, len(open))
 	}
 	// Sensors sampled all day: the river gauge has ~96 readings.
 	hist, err := o.Network.History("morland-level-1", epoch, epoch.Add(48*time.Hour))
@@ -463,14 +480,14 @@ func TestObservatorySoak(t *testing.T) {
 		t.Fatalf("river gauge readings = %d, want ~96 over the day", len(hist))
 	}
 	// Public cost stays bounded (the LB reclaims idle public capacity).
-	if m.PublicCost > 5 {
-		t.Fatalf("public cost = %.2f, runaway leasing", m.PublicCost)
+	if cost := metricValue(t, o, "evop_public_cost"); cost > 5 {
+		t.Fatalf("public cost = %.2f, runaway leasing", cost)
 	}
 }
 
 func TestRunLowFlow(t *testing.T) {
 	o, _ := newObs(t)
-	res, err := o.RunLowFlow("morland", "afforestation")
+	res, err := o.RunLowFlowContext(context.Background(), "morland", "afforestation")
 	if err != nil {
 		t.Fatalf("RunLowFlow: %v", err)
 	}
@@ -484,17 +501,17 @@ func TestRunLowFlow(t *testing.T) {
 		t.Fatalf("BFI = %v", res.Summary.BFI)
 	}
 	// Empty scenario defaults to baseline and matches it.
-	base, err := o.RunLowFlow("morland", "")
+	base, err := o.RunLowFlowContext(context.Background(), "morland", "")
 	if err != nil {
 		t.Fatalf("RunLowFlow baseline: %v", err)
 	}
 	if base.Summary.Q95 != base.Baseline.Q95 {
 		t.Fatal("baseline summary differs from itself")
 	}
-	if _, err := o.RunLowFlow("thames", ""); err == nil {
+	if _, err := o.RunLowFlowContext(context.Background(), "thames", ""); err == nil {
 		t.Fatal("unknown catchment accepted")
 	}
-	if _, err := o.RunLowFlow("morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
+	if _, err := o.RunLowFlowContext(context.Background(), "morland", "urban"); !errors.Is(err, scenario.ErrUnknown) {
 		t.Fatalf("unknown scenario err = %v", err)
 	}
 }
@@ -525,7 +542,7 @@ func TestUploadDatasetAndRun(t *testing.T) {
 		t.Fatal("Dataset returned shared storage")
 	}
 
-	res, err := o.RunModel(RunRequest{
+	res, err := o.RunModelContext(context.Background(), RunRequest{
 		CatchmentID: "morland", Model: "topmodel", RainDatasetID: "my-gauge",
 	})
 	if err != nil {
@@ -565,7 +582,7 @@ func TestUploadDatasetValidation(t *testing.T) {
 	if err := o.UploadDataset("far", far); err != nil {
 		t.Fatalf("UploadDataset far: %v", err)
 	}
-	if _, err := o.RunModel(RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "far"}); err == nil {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "far"}); err == nil {
 		t.Fatal("disjoint dataset accepted")
 	}
 }
@@ -574,14 +591,14 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	o, _ := newObs(t)
 	req := RunRequest{CatchmentID: "morland", Model: "topmodel"}
 
-	r1, out, err := o.RunModelCached(req)
+	r1, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	if out != runcache.Miss {
 		t.Fatalf("first run outcome = %v, want miss", out)
 	}
-	r2, out, err := o.RunModelCached(req)
+	r2, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -591,9 +608,11 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("cache hit returned a different result pointer")
 	}
-	st := o.Metrics().ModelRunCache
-	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss / size 1", st)
+	hits := o.MetricsRegistry().Counter("evop_runcache_hits_total", "")
+	misses := o.MetricsRegistry().Counter("evop_runcache_misses_total", "")
+	if hits.Value() != 1 || misses.Value() != 1 || metricValue(t, o, "evop_runcache_entries") != 1 {
+		t.Fatalf("cache hits/misses/entries = %d/%d/%v, want 1/1/1",
+			hits.Value(), misses.Value(), metricValue(t, o, "evop_runcache_entries"))
 	}
 
 	// Any field that changes the simulation must change the key.
@@ -607,19 +626,19 @@ func TestRunModelCacheHitAndKeying(t *testing.T) {
 	p.M = p.M * 1.5
 	variants = append(variants, RunRequest{CatchmentID: "morland", Model: "topmodel", TOPMODELParams: &p})
 	for i, v := range variants {
-		if _, out, err := o.RunModelCached(v); err != nil || out != runcache.Miss {
+		if _, out, err := o.RunModelCachedContext(context.Background(), v); err != nil || out != runcache.Miss {
 			t.Fatalf("variant %d: outcome = %v err = %v, want fresh miss", i, out, err)
 		}
 	}
 	// Errors are not cached: the same bad request keeps failing afresh.
 	bad := RunRequest{CatchmentID: "thames", Model: "topmodel"}
 	for i := 0; i < 2; i++ {
-		if _, out, err := o.RunModelCached(bad); err == nil || out != runcache.Miss {
+		if _, out, err := o.RunModelCachedContext(context.Background(), bad); err == nil || out != runcache.Miss {
 			t.Fatalf("bad request %d: outcome = %v err = %v", i, out, err)
 		}
 	}
-	if st := o.Metrics().ModelRunCache; st.Hits != 1 {
-		t.Fatalf("variant/error requests inflated hits: %+v", st)
+	if hits.Value() != 1 {
+		t.Fatalf("variant/error requests inflated hits to %d", hits.Value())
 	}
 }
 
@@ -632,7 +651,7 @@ func TestUploadDatasetPurgesRunCache(t *testing.T) {
 		t.Fatalf("UploadDataset: %v", err)
 	}
 	req := RunRequest{CatchmentID: "morland", Model: "topmodel", RainDatasetID: "gauge"}
-	r1, _, err := o.RunModelCached(req)
+	r1, _, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -642,7 +661,7 @@ func TestUploadDatasetPurgesRunCache(t *testing.T) {
 	if err := o.UploadDataset("gauge", timeseries.MustNew(epochStart, time.Hour, vals)); err != nil {
 		t.Fatalf("re-upload: %v", err)
 	}
-	r2, out, err := o.RunModelCached(req)
+	r2, out, err := o.RunModelCachedContext(context.Background(), req)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -736,14 +755,14 @@ func TestRunQualityContextCanceled(t *testing.T) {
 
 func TestUnknownCatchmentSentinel(t *testing.T) {
 	o, _ := newObs(t)
-	if _, err := o.RunModel(RunRequest{CatchmentID: "ghost", Model: "topmodel"}); !errors.Is(err, ErrUnknownCatchment) {
+	if _, err := o.RunModelContext(context.Background(), RunRequest{CatchmentID: "ghost", Model: "topmodel"}); !errors.Is(err, ErrUnknownCatchment) {
 		t.Fatalf("RunModel ghost err = %v, want ErrUnknownCatchment", err)
 	}
 	// The sentinel must keep matching ErrBadConfig for existing callers.
 	if _, err := o.Forcing("ghost"); !errors.Is(err, ErrBadConfig) || !errors.Is(err, ErrUnknownCatchment) {
 		t.Fatalf("Forcing ghost err = %v, want both sentinels", err)
 	}
-	if _, err := o.RunQuality("ghost", ""); !errors.Is(err, ErrUnknownCatchment) {
+	if _, err := o.RunQualityContext(context.Background(), "ghost", ""); !errors.Is(err, ErrUnknownCatchment) {
 		t.Fatalf("RunQuality ghost err = %v, want ErrUnknownCatchment", err)
 	}
 }
@@ -754,24 +773,28 @@ func TestResilienceMetricsSurface(t *testing.T) {
 	clk.Advance(time.Minute)
 	o.Stop()
 
-	m := o.Metrics()
-	if got := len(m.Resilience.Providers); got != 2 {
+	providers := o.Multi.Health()
+	if got := len(providers); got != 2 {
 		t.Fatalf("provider health entries = %d, want 2", got)
 	}
-	for _, p := range m.Resilience.Providers {
+	for _, p := range providers {
 		if p.Breaker != "closed" {
 			t.Fatalf("breaker %s = %q on a healthy platform, want closed", p.Name, p.Breaker)
 		}
+		if got := metricValue(t, o, `evop_breaker_state{name="`+p.Name+`"}`); got != float64(resilience.Closed) {
+			t.Fatalf("evop_breaker_state for %s = %v, want closed (%d)", p.Name, got, resilience.Closed)
+		}
 	}
-	if m.Resilience.LB.Ticks == 0 {
-		t.Fatal("LB stats not wired into metrics")
+	if metricValue(t, o, "evop_lb_ticks_total") == 0 {
+		t.Fatal("LB ticks not wired into the registry")
 	}
-	if m.Resilience.SuspendedSessions != 0 || m.Resilience.SuspendedEver != 0 {
-		t.Fatalf("suspended = %d/%d on a healthy platform, want 0/0",
-			m.Resilience.SuspendedSessions, m.Resilience.SuspendedEver)
-	}
-	if m.Resilience.Failovers != 0 {
-		t.Fatalf("failovers = %d on a healthy platform", m.Resilience.Failovers)
+	for _, id := range []string{
+		"evop_broker_sessions_suspended", "evop_broker_sessions_suspended_total",
+		"evop_crosscloud_failovers", "evop_lb_outstanding_terminations", "evop_lb_inflight_replacements",
+	} {
+		if got := metricValue(t, o, id); got != 0 {
+			t.Fatalf("%s = %v on a healthy platform, want 0", id, got)
+		}
 	}
 }
 
@@ -806,9 +829,11 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 		clk.Advance(45 * time.Second)
 		o.LB.Tick()
 	}
-	m := o.Metrics()
-	if m.PublicInstances == 0 {
-		t.Fatalf("metrics = %+v, want cloudburst onto public during private outage", m)
+	if metricValue(t, o, `evop_instances{kind="public"}`) == 0 {
+		t.Fatal("no public instances: want cloudburst onto public during private outage")
+	}
+	if metricValue(t, o, "evop_crosscloud_failovers") == 0 {
+		t.Fatal("no failover counted during the private outage")
 	}
 	if o.FaultyPrivate.Stats().Outages == 0 {
 		t.Fatal("outage never injected a fault")
@@ -820,7 +845,7 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 		clk.Advance(45 * time.Second)
 		o.LB.Tick()
 	}
-	for _, p := range o.Metrics().Resilience.Providers {
+	for _, p := range o.Multi.Health() {
 		if p.Breaker != "closed" {
 			t.Fatalf("breaker %s = %q after outage ended, want closed", p.Name, p.Breaker)
 		}
@@ -832,5 +857,32 @@ func TestFaultInjectionConfigWiresDecorators(t *testing.T) {
 	bad.Faults = &cloud.FaultSpec{LaunchErrorRate: 2}
 	if _, err := New(bad); err == nil {
 		t.Fatal("invalid fault spec accepted")
+	}
+}
+
+// TestProcessGauges checks the operator's "is the binary healthy" series
+// and the other observatory-level gauges: uptime on the observatory
+// clock, live goroutines and heap, and the deployment counts.
+func TestProcessGauges(t *testing.T) {
+	o, clk := newObs(t)
+	clk.Advance(90 * time.Second)
+	if got := metricValue(t, o, "evop_process_uptime_seconds"); got != 90 {
+		t.Fatalf("uptime = %v s, want 90 (simulated clock)", got)
+	}
+	if got := metricValue(t, o, "evop_process_goroutines"); got < 1 {
+		t.Fatalf("goroutines = %v, want >= 1", got)
+	}
+	if got := metricValue(t, o, "evop_process_heap_bytes"); got <= 0 {
+		t.Fatalf("heap bytes = %v, want live heap", got)
+	}
+	if got, want := metricValue(t, o, "evop_sensor_registered"), float64(len(o.Network.Sensors())); got != want || got == 0 {
+		t.Fatalf("registered sensors = %v, want %v", got, want)
+	}
+	if got := metricValue(t, o, "evop_workflow_runs"); got != 0 {
+		t.Fatalf("workflow runs = %v before any workflow, want 0", got)
+	}
+	o.LB.Tick() // launches the warm floor; boots take 30 s
+	if got := metricValue(t, o, "evop_instances_booting"); got == 0 {
+		t.Fatal("no instance booting right after the first LB tick")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/cloud"
 	"evop/internal/cloud/crosscloud"
+	"evop/internal/metrics"
 	"evop/internal/resilience"
 )
 
@@ -26,6 +27,7 @@ type faultyHarness struct {
 	multi   *crosscloud.Multi
 	brk     *broker.Broker
 	lb      *LB
+	reg     *metrics.Registry
 }
 
 func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *faultyHarness {
@@ -57,14 +59,15 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk)
+	reg := metrics.NewRegistry(clk)
+	brk, err := broker.NewWithOptions(clk, broker.Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}
 	cfg := Config{
 		Multi: multi, Broker: brk, Clock: clk,
 		Image: testImage(), Flavor: smallFlavor(),
-		Interval: 10 * time.Second,
+		Interval: 10 * time.Second, Metrics: reg,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -75,8 +78,15 @@ func newFaultyHarness(t *testing.T, privateMax int, mutate func(*Config)) *fault
 	}
 	return &faultyHarness{
 		clk: clk, private: private, public: public,
-		fpriv: fpriv, fpub: fpub, multi: multi, brk: brk, lb: lb,
+		fpriv: fpriv, fpub: fpub, multi: multi, brk: brk, lb: lb, reg: reg,
 	}
+}
+
+// metric reads one series (or the sum of a metric's series) from the
+// rig's registry; see metricValue.
+func (h *faultyHarness) metric(t *testing.T, id string) float64 {
+	t.Helper()
+	return metricValue(t, h.reg, id)
 }
 
 func (h *faultyHarness) settle(n int) {
@@ -123,11 +133,11 @@ func TestFaultyTerminateNoReplacementStorm(t *testing.T) {
 	if n := countEvents(h.lb.Events(), "replace", "->"); n != 1 {
 		t.Fatalf("replacement launches = %d, want exactly 1 (storm!)", n)
 	}
-	st := h.lb.Stats()
-	if st.InFlightReplacements != 1 || st.OutstandingTerminations != 1 {
-		t.Fatalf("stats during fault = %+v, want 1 in-flight replacement and 1 outstanding termination", st)
+	inflight, outstanding := h.metric(t, "evop_lb_inflight_replacements"), h.metric(t, "evop_lb_outstanding_terminations")
+	if inflight != 1 || outstanding != 1 {
+		t.Fatalf("in-flight replacements/outstanding terminations during fault = %v/%v, want 1/1", inflight, outstanding)
 	}
-	if st.TerminateFailures == 0 {
+	if h.metric(t, "evop_lb_terminate_failures_total") == 0 {
 		t.Fatal("terminate failures not counted")
 	}
 	if h.lb.Replaced() != 0 {
@@ -148,15 +158,15 @@ func TestFaultyTerminateNoReplacementStorm(t *testing.T) {
 	if bad.State() != cloud.StateTerminated {
 		t.Fatalf("suspect state after heal = %v, want terminated", bad.State())
 	}
-	st = h.lb.Stats()
-	if st.InFlightReplacements != 0 || st.OutstandingTerminations != 0 {
-		t.Fatalf("stats after heal = %+v, want clean tables", st)
+	inflight, outstanding = h.metric(t, "evop_lb_inflight_replacements"), h.metric(t, "evop_lb_outstanding_terminations")
+	if inflight != 0 || outstanding != 0 {
+		t.Fatalf("in-flight replacements/outstanding terminations after heal = %v/%v, want clean tables", inflight, outstanding)
 	}
 	if h.lb.Replaced() != 1 {
 		t.Fatalf("replaced = %d, want 1", h.lb.Replaced())
 	}
-	if st.RecoveredTerminations != 1 {
-		t.Fatalf("recovered terminations = %d, want 1", st.RecoveredTerminations)
+	if got := h.metric(t, "evop_lb_recovered_terminations_total"); got != 1 {
+		t.Fatalf("recovered terminations = %v, want 1", got)
 	}
 	if countEvents(h.lb.Events(), "terminate", "failed attempts") != 1 {
 		t.Fatal("recovered termination not recorded with its attempt count")
@@ -192,9 +202,8 @@ func TestFaultyIdleTerminateRetriedNotLeaked(t *testing.T) {
 	}
 	h.settle(6) // idle detection + failing terminations
 
-	st := h.lb.Stats()
-	if st.TerminateFailures == 0 || st.OutstandingTerminations == 0 {
-		t.Fatalf("stats during fault = %+v, want failed terminations outstanding", st)
+	if h.metric(t, "evop_lb_terminate_failures_total") == 0 || h.metric(t, "evop_lb_outstanding_terminations") == 0 {
+		t.Fatal("want failed terminations outstanding during the fault")
 	}
 	if countEvents(h.lb.Events(), "terminate-failed", "idle") == 0 {
 		t.Fatal("no terminate-failed event recorded for idle reclaim")
@@ -206,11 +215,10 @@ func TestFaultyIdleTerminateRetriedNotLeaked(t *testing.T) {
 
 	h.fpriv.SetErrorRates(0, 0, 0)
 	h.settle(8)
-	st = h.lb.Stats()
-	if st.OutstandingTerminations != 0 {
-		t.Fatalf("outstanding terminations after heal = %d, want 0", st.OutstandingTerminations)
+	if got := h.metric(t, "evop_lb_outstanding_terminations"); got != 0 {
+		t.Fatalf("outstanding terminations after heal = %v, want 0", got)
 	}
-	if st.RecoveredTerminations == 0 {
+	if h.metric(t, "evop_lb_recovered_terminations_total") == 0 {
 		t.Fatal("no termination recorded as recovered")
 	}
 	if got := len(h.multi.Instances()); got != 1 {
@@ -283,12 +291,11 @@ func TestFaultySuspendResumeUnderLaunchFaults(t *testing.T) {
 	bad.Inject(cloud.StuckCPU)
 	h.settle(6)
 
-	if h.brk.SuspendedCount() != 1 || h.brk.SuspendedTotal() != 1 {
-		t.Fatalf("suspended count/total = %d/%d, want 1/1",
-			h.brk.SuspendedCount(), h.brk.SuspendedTotal())
+	if now, ever := h.metric(t, "evop_broker_sessions_suspended"), h.metric(t, "evop_broker_sessions_suspended_total"); now != 1 || ever != 1 {
+		t.Fatalf("suspended count/total = %v/%v, want 1/1", now, ever)
 	}
-	if st := h.lb.Stats(); st.LaunchFailures == 0 {
-		t.Fatalf("launch failures = %d, want >0 during fault window", st.LaunchFailures)
+	if h.metric(t, "evop_lb_launch_failures_total") == 0 {
+		t.Fatal("no launch failures counted during the fault window")
 	}
 	u := <-ch
 	if u.Kind != broker.UpdateSuspended || u.Session.InstanceAddr != "" {
@@ -300,8 +307,8 @@ func TestFaultySuspendResumeUnderLaunchFaults(t *testing.T) {
 	h.fpub.SetErrorRates(0, 0, 0)
 	h.settle(6)
 
-	if h.brk.SuspendedCount() != 0 {
-		t.Fatalf("suspended count after heal = %d, want 0", h.brk.SuspendedCount())
+	if got := h.metric(t, "evop_broker_sessions_suspended"); got != 0 {
+		t.Fatalf("suspended count after heal = %v, want 0", got)
 	}
 	after, _ := h.brk.Session(s.ID)
 	if after.State != broker.Active || after.InstanceID == bad.ID() {
@@ -319,7 +326,7 @@ type chaosOutcome struct {
 	sessions   []string
 	victimID   string
 	events     []Event
-	stats      Stats
+	lb         map[string]float64 // every evop_lb_* series by id
 	failovers  int
 	breakers   map[string]string
 	privFaults cloud.FaultStats
@@ -400,11 +407,17 @@ func runChaosScenario(t *testing.T) (*faultyHarness, chaosOutcome) {
 	for _, ph := range h.multi.Health() {
 		breakers[ph.Name] = ph.Breaker
 	}
+	lb := make(map[string]float64)
+	for _, m := range h.reg.Snapshot().Metrics {
+		if strings.HasPrefix(m.Name, "evop_lb_") {
+			lb[m.SeriesID()] = m.Value
+		}
+	}
 	return h, chaosOutcome{
 		sessions:   ids,
 		victimID:   victim.ID(),
 		events:     h.lb.Events(),
-		stats:      h.lb.Stats(),
+		lb:         lb,
 		failovers:  h.multi.Failovers(),
 		breakers:   breakers,
 		privFaults: h.fpriv.Stats(),
@@ -437,18 +450,17 @@ func TestChaosOutageCloudburstRecovery(t *testing.T) {
 			t.Fatalf("session %s bound to non-running instance %s", id, s.InstanceID)
 		}
 	}
-	if n := h.brk.SuspendedCount(); n != 0 {
-		t.Fatalf("suspended sessions after recovery = %d, want 0", n)
+	if n := h.metric(t, "evop_broker_sessions_suspended"); n != 0 {
+		t.Fatalf("suspended sessions after recovery = %v, want 0", n)
 	}
-	if h.brk.SuspendedTotal() == 0 {
+	if h.metric(t, "evop_broker_sessions_suspended_total") == 0 {
 		t.Fatal("no suspension ever recorded: the scenario lost its storm")
 	}
-	st := out.stats
-	if st.OutstandingTerminations != 0 || st.InFlightReplacements != 0 {
-		t.Fatalf("stats = %+v, want no outstanding terminations or replacements", st)
+	if h.metric(t, "evop_lb_outstanding_terminations") != 0 || h.metric(t, "evop_lb_inflight_replacements") != 0 {
+		t.Fatalf("lb series = %v, want no outstanding terminations or replacements", out.lb)
 	}
-	if st.TerminateFailures == 0 || st.RecoveredTerminations == 0 {
-		t.Fatalf("stats = %+v, want terminate failures that were later recovered", st)
+	if h.metric(t, "evop_lb_terminate_failures_total") == 0 || h.metric(t, "evop_lb_recovered_terminations_total") == 0 {
+		t.Fatalf("lb series = %v, want terminate failures that were later recovered", out.lb)
 	}
 	if out.failovers == 0 {
 		t.Fatal("no cross-provider failover recorded during the outage")
@@ -493,8 +505,8 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.events, b.events) {
 		t.Fatalf("event logs diverged:\nrun1: %d events\nrun2: %d events", len(a.events), len(b.events))
 	}
-	if a.stats != b.stats {
-		t.Fatalf("stats diverged:\nrun1: %+v\nrun2: %+v", a.stats, b.stats)
+	if !reflect.DeepEqual(a.lb, b.lb) {
+		t.Fatalf("lb series diverged:\nrun1: %v\nrun2: %v", a.lb, b.lb)
 	}
 	if !reflect.DeepEqual(a.breakers, b.breakers) || a.failovers != b.failovers {
 		t.Fatalf("breaker/failover outcomes diverged: %v/%d vs %v/%d",

@@ -10,6 +10,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/cloud"
 	"evop/internal/cloud/crosscloud"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -21,6 +22,7 @@ type harness struct {
 	multi   *crosscloud.Multi
 	brk     *broker.Broker
 	lb      *LB
+	reg     *metrics.Registry
 }
 
 func testImage() cloud.Image {
@@ -52,14 +54,15 @@ func newHarness(t *testing.T, privateMax int, mutate func(*Config)) *harness {
 	if err != nil {
 		t.Fatalf("multi: %v", err)
 	}
-	brk, err := broker.New(clk)
+	reg := metrics.NewRegistry(clk)
+	brk, err := broker.NewWithOptions(clk, broker.Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("broker: %v", err)
 	}
 	cfg := Config{
 		Multi: multi, Broker: brk, Clock: clk,
 		Image: testImage(), Flavor: smallFlavor(),
-		Interval: 10 * time.Second,
+		Interval: 10 * time.Second, Metrics: reg,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -68,7 +71,29 @@ func newHarness(t *testing.T, privateMax int, mutate func(*Config)) *harness {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return &harness{clk: clk, private: private, public: public, multi: multi, brk: brk, lb: lb}
+	return &harness{clk: clk, private: private, public: public, multi: multi, brk: brk, lb: lb, reg: reg}
+}
+
+// ticks reads the LB's control-loop counter from the registry.
+func (h *harness) ticks() uint64 {
+	return h.reg.Counter("evop_lb_ticks_total", "").Value()
+}
+
+// metricValue reads the snapshot value of the series with this id, or
+// the sum over every series of this name. A series that was never
+// registered fails the test instead of reading a fresh zero.
+func metricValue(t *testing.T, reg *metrics.Registry, id string) float64 {
+	t.Helper()
+	sum, found := 0.0, false
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == id || m.SeriesID() == id {
+			sum, found = sum+m.Value, true
+		}
+	}
+	if !found {
+		t.Fatalf("series %s not registered", id)
+	}
+	return sum
 }
 
 // settle runs n LB ticks with boot-completing time in between.
@@ -275,13 +300,13 @@ func TestStartStopLoop(t *testing.T) {
 	h.lb.Start()
 	h.lb.Start() // idempotent
 	h.clk.Advance(time.Minute)
-	if h.lb.Ticks() < 5 {
-		t.Fatalf("ticks = %d, want >=5 over a minute at 10s interval", h.lb.Ticks())
+	if h.ticks() < 5 {
+		t.Fatalf("ticks = %d, want >=5 over a minute at 10s interval", h.ticks())
 	}
 	h.lb.Stop()
-	n := h.lb.Ticks()
+	n := h.ticks()
 	h.clk.Advance(time.Minute)
-	if h.lb.Ticks() != n {
+	if h.ticks() != n {
 		t.Fatal("loop kept ticking after Stop")
 	}
 	if h.clk.PendingTimers() != 0 {
@@ -296,12 +321,12 @@ func TestStopGatesInFlightTick(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	h.lb.Start()
 	h.lb.Stop()
-	ticks, events := h.lb.Ticks(), len(h.lb.Events())
+	ticks, events := h.ticks(), len(h.lb.Events())
 	// Invoke the timer callback directly, standing in for an AfterFunc
 	// that fired just before Stop cancelled the timer.
 	h.lb.loopTick()
-	if h.lb.Ticks() != ticks {
-		t.Fatalf("tick ran after Stop: %d -> %d", ticks, h.lb.Ticks())
+	if h.ticks() != ticks {
+		t.Fatalf("tick ran after Stop: %d -> %d", ticks, h.ticks())
 	}
 	if len(h.lb.Events()) != events {
 		t.Fatal("events recorded after Stop")
@@ -312,7 +337,7 @@ func TestStopGatesInFlightTick(t *testing.T) {
 	// The loop still restarts cleanly afterwards.
 	h.lb.Start()
 	h.clk.Advance(time.Minute)
-	if h.lb.Ticks() == ticks {
+	if h.ticks() == ticks {
 		t.Fatal("loop did not tick after restart")
 	}
 	h.lb.Stop()

@@ -1,7 +1,8 @@
 package metrics
 
 import (
-	"runtime"
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,6 +47,7 @@ func (k Kind) String() string {
 // registered is one (name, labels) series and its instrument.
 type registered struct {
 	name   string
+	id     string // seriesID(name, labels)
 	help   string
 	labels []Label
 	kind   Kind
@@ -72,8 +74,8 @@ type Registry struct {
 	clk   clock.Clock
 	start time.Time
 
-	mu    sync.Mutex
-	byKey map[string]*registered
+	mu   sync.Mutex
+	byID map[string]*registered
 }
 
 // NewRegistry returns an empty registry. The clock anchors uptime; nil
@@ -85,7 +87,7 @@ func NewRegistry(clk clock.Clock) *Registry {
 	return &Registry{
 		clk:   clk,
 		start: clk.Now(),
-		byKey: make(map[string]*registered),
+		byID:  make(map[string]*registered),
 	}
 }
 
@@ -97,9 +99,10 @@ func (r *Registry) Uptime() time.Duration {
 	return r.clk.Now().Sub(r.start)
 }
 
-// seriesKey builds the registration key: name plus labels sorted by
-// label name, so label order at the call site does not split series.
-func seriesKey(name string, labels []Label) string {
+// seriesID renders a series identity as name{label="value",...} with
+// labels sorted by name, so label order at the call site does not split
+// series. It is computed once per series, at registration.
+func seriesID(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
@@ -113,8 +116,9 @@ func seriesKey(name string, labels []Label) string {
 			b.WriteByte(',')
 		}
 		b.WriteString(l.Name)
-		b.WriteByte('=')
+		b.WriteString(`="`)
 		b.WriteString(l.Value)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -123,18 +127,18 @@ func seriesKey(name string, labels []Label) string {
 // lookup returns the existing series of the given kind, creating it via
 // make when absent. A kind collision panics.
 func (r *Registry) lookup(name, help string, kind Kind, labels []Label, make func(*registered)) *registered {
-	key := seriesKey(name, labels)
+	id := seriesID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.byKey[key]; ok {
+	if e, ok := r.byID[id]; ok {
 		if e.kind != kind {
-			panic("metrics: " + key + " re-registered as " + kind.String() + ", was " + e.kind.String())
+			panic("metrics: " + id + " re-registered as " + kind.String() + ", was " + e.kind.String())
 		}
 		return e
 	}
-	e := &registered{name: name, help: help, labels: append([]Label(nil), labels...), kind: kind}
+	e := &registered{name: name, id: id, help: help, labels: append([]Label(nil), labels...), kind: kind}
 	make(e)
-	r.byKey[key] = e
+	r.byID[id] = e
 	return e
 }
 
@@ -192,31 +196,19 @@ type Metric struct {
 	Value float64 `json:"value"`
 	// Histogram is set for histogram series.
 	Histogram *HistogramStats `json:"histogram,omitempty"`
+
+	id string // SeriesID, computed at registration
 }
 
 // SeriesID renders the metric's identity as name{label="value",...} —
 // stable, deterministic (labels sorted by name) and matching the
-// Prometheus series notation.
+// Prometheus series notation. Snapshot metrics carry the id computed at
+// registration.
 func (m Metric) SeriesID() string {
-	if len(m.Labels) == 0 {
-		return m.Name
+	if m.id != "" {
+		return m.id
 	}
-	sorted := append([]Label(nil), m.Labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var b strings.Builder
-	b.WriteString(m.Name)
-	b.WriteByte('{')
-	for i, l := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(l.Value)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return seriesID(m.Name, m.Labels)
 }
 
 // HistogramStats is the snapshot form of a histogram: totals plus the
@@ -237,10 +229,11 @@ type HistogramStats struct {
 func (h HistogramStats) Raw() HistogramSnapshot { return h.raw }
 
 // Snapshot is a consistent point-in-time view of every registered
-// series, sorted by name then label signature — the stable order both
-// the JSON adapter and the Prometheus exposition present.
+// series, sorted by name then series id — the stable order the
+// Prometheus exposition presents and the JSON document keeps within
+// each family.
 type Snapshot struct {
-	Metrics []Metric `json:"metrics"`
+	Metrics []Metric
 }
 
 // Snapshot captures every registered series. Nil-receiver safe.
@@ -253,8 +246,8 @@ func (r *Registry) Snapshot() Snapshot {
 		fn func() float64
 	}
 	r.mu.Lock()
-	entries := make([]capture, 0, len(r.byKey))
-	for _, e := range r.byKey {
+	entries := make([]capture, 0, len(r.byID))
+	for _, e := range r.byID {
 		entries = append(entries, capture{e: e, fn: e.gaugeFn})
 	}
 	r.mu.Unlock()
@@ -262,7 +255,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{Metrics: make([]Metric, 0, len(entries))}
 	for _, c := range entries {
 		e := c.e
-		m := Metric{Name: e.name, Help: e.help, Kind: e.kind, Labels: e.labels}
+		m := Metric{Name: e.name, Help: e.help, Kind: e.kind, Labels: e.labels, id: e.id}
 		switch {
 		case e.counter != nil:
 			m.Value = float64(e.counter.Value())
@@ -286,32 +279,8 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Metrics = append(s.Metrics, m)
 	}
-	sort.Slice(s.Metrics, func(i, j int) bool {
-		if s.Metrics[i].Name != s.Metrics[j].Name {
-			return s.Metrics[i].Name < s.Metrics[j].Name
-		}
-		return s.Metrics[i].SeriesID() < s.Metrics[j].SeriesID()
+	slices.SortFunc(s.Metrics, func(a, b Metric) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.id, b.id))
 	})
 	return s
-}
-
-// ProcessStats is the "is the binary healthy" slice of /metrics:
-// process uptime on the registry's clock, the goroutine count and the
-// live heap.
-type ProcessStats struct {
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Goroutines    int     `json:"goroutines"`
-	HeapBytes     uint64  `json:"heapBytes"`
-}
-
-// Process reports the process health stats. Nil-receiver safe (uptime
-// reads 0 without a registry).
-func (r *Registry) Process() ProcessStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ProcessStats{
-		UptimeSeconds: r.Uptime().Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     ms.HeapAlloc,
-	}
 }

@@ -27,3 +27,26 @@ func BenchmarkSeriesDegraded(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMetricsScrape measures one /metrics scrape of the warmed
+// fixture's registry in each representation — the cost an operator's
+// poller adds to the serving process.
+func BenchmarkMetricsScrape(b *testing.B) {
+	f := newFixture(b)
+	for _, tc := range []struct{ name, target string }{
+		{"JSON", "/metrics"},
+		{"Prometheus", "/metrics?format=prometheus"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, tc.target, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				f.p.metrics(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status = %d", rec.Code)
+				}
+			}
+		})
+	}
+}

@@ -5,79 +5,168 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"evop/internal/core"
 	"evop/internal/metrics"
 )
 
-// TestMetricsJSONByteCompat pins the pre-refactor /metrics JSON as a
-// strict byte prefix of the current response: unmarshalling the body
-// into the legacy response shape and re-marshalling it must reproduce
-// the response's opening bytes exactly, with the new "latency" and
-// "process" sections appended after. A reordered or renamed legacy
-// field breaks the prefix and fails here.
-func TestMetricsJSONByteCompat(t *testing.T) {
+// metricsDoc is the /metrics JSON document: family → series id → value
+// (a number, or a histogram's stats).
+type metricsDoc map[string]map[string]json.RawMessage
+
+// decodeMetrics parses a /metrics JSON body token by token, failing on
+// a family or series key that appears twice (a map decode would
+// silently keep the last).
+func decodeMetrics(t *testing.T, body []byte) metricsDoc {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	delim := func(want json.Delim) {
+		t.Helper()
+		if tok, err := dec.Token(); err != nil || tok != want {
+			t.Fatalf("metrics JSON: token %v (%v), want %v in %.200s", tok, err, want, body)
+		}
+	}
+	key := func() string {
+		t.Helper()
+		tok, err := dec.Token()
+		k, ok := tok.(string)
+		if err != nil || !ok {
+			t.Fatalf("metrics JSON: token %v (%v), want an object key", tok, err)
+		}
+		return k
+	}
+	doc := metricsDoc{}
+	delim('{')
+	for dec.More() {
+		family := key()
+		if _, dup := doc[family]; dup {
+			t.Fatalf("family %q appears twice", family)
+		}
+		series := map[string]json.RawMessage{}
+		delim('{')
+		for dec.More() {
+			id := key()
+			if _, dup := series[id]; dup {
+				t.Fatalf("series %s appears twice in family %q", id, family)
+			}
+			var v json.RawMessage
+			if err := dec.Decode(&v); err != nil {
+				t.Fatalf("series %s: %v", id, err)
+			}
+			series[id] = v
+		}
+		delim('}')
+		doc[family] = series
+	}
+	delim('}')
+	return doc
+}
+
+// getMetrics fetches and decodes GET /metrics.
+func (f *fixture) getMetrics(t *testing.T) metricsDoc {
+	t.Helper()
+	code, body := f.get(t, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d %s", code, body)
+	}
+	return decodeMetrics(t, body)
+}
+
+// value returns a counter or gauge series from the document, failing if
+// the family or series is absent.
+func (d metricsDoc) value(t *testing.T, family, id string) float64 {
+	t.Helper()
+	raw, ok := d[family][id]
+	if !ok {
+		t.Fatalf("metrics JSON has no %s under %q", id, family)
+	}
+	var v float64
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%s = %s: %v", id, raw, err)
+	}
+	return v
+}
+
+// histogram returns a histogram series from the document, failing if
+// the family or series is absent.
+func (d metricsDoc) histogram(t *testing.T, family, id string) metrics.HistogramStats {
+	t.Helper()
+	raw, ok := d[family][id]
+	if !ok {
+		t.Fatalf("metrics JSON has no %s under %q", id, family)
+	}
+	var h metrics.HistogramStats
+	if err := json.Unmarshal(raw, &h); err != nil {
+		t.Fatalf("%s = %s: %v", id, raw, err)
+	}
+	return h
+}
+
+// TestMetricsJSONSchema pins the /metrics JSON contract: it is a
+// rendering of the registry snapshot. On a quiescent fixture every
+// series appears exactly once, under its family and keyed by its series
+// id, with the snapshot's value; nothing else appears. The heap and
+// goroutine gauges move between any two reads, so only their presence
+// is compared.
+func TestMetricsJSONSchema(t *testing.T) {
 	f := newFixture(t)
 	f.clk.Advance(2 * time.Minute)
 	// Exercise a few endpoints so the counters are non-trivial.
 	f.get(t, "/healthz")
 	f.get(t, "/sensors/morland-level-1/series?points=10")
-	code, body := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
+	if got := f.getMetrics(t); got["http"] == nil || got["process"] == nil {
+		t.Fatal("GET /metrics lacks the http or process family")
+	}
+	// A handler finishes recording after its client has the body; the
+	// in-flight gauge drops last, so zero means every request is counted.
+	for deadline := time.Now().Add(5 * time.Second); f.p.inflight.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("requests still in flight after 5s")
+		}
 	}
 
-	legacy := struct {
-		core.InfraMetrics
-		HTTP   HTTPMetrics   `json:"http"`
-		Series SeriesMetrics `json:"series"`
-	}{}
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatalf("unmarshal into legacy shape: %v", err)
+	// Render without the middleware, so the scrape itself moves nothing.
+	rec := httptest.NewRecorder()
+	f.p.metrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content type = %q, want application/json", ct)
 	}
-	relegacy, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatalf("re-marshal legacy shape: %v", err)
-	}
-	// Drop the closing brace: the live response continues with the new
-	// trailing sections where the legacy document ended.
-	prefix := relegacy[:len(relegacy)-1]
-	if !bytes.HasPrefix(body, prefix) {
-		t.Fatalf("legacy JSON is no longer a byte prefix of /metrics:\nwant prefix: %s\ngot body:    %.600s",
-			prefix, body)
-	}
-	rest := body[len(prefix):]
-	if !bytes.HasPrefix(rest, []byte(`,"latency":`)) {
-		t.Fatalf("new sections must start with \"latency\" after the legacy fields, got %.80s", rest)
-	}
+	doc := decodeMetrics(t, rec.Body.Bytes())
+	snap := f.obs.MetricsRegistry().Snapshot()
 
-	var full struct {
-		Latency map[string]metrics.HistogramStats `json:"latency"`
-		Process metrics.ProcessStats              `json:"process"`
+	volatile := map[string]bool{"evop_process_heap_bytes": true, "evop_process_goroutines": true}
+	for _, m := range snap.Metrics {
+		id := m.SeriesID()
+		if m.Histogram == nil {
+			if v := doc.value(t, m.Family(), id); v != m.Value && !volatile[id] {
+				t.Errorf("%s = %v in JSON, %v in the snapshot", id, v, m.Value)
+			}
+			continue
+		}
+		h, w := doc.histogram(t, m.Family(), id), *m.Histogram
+		if h.Count != w.Count || h.Sum != w.Sum || h.Max != w.Max || h.P50 != w.P50 || h.P95 != w.P95 || h.P99 != w.P99 {
+			t.Errorf("%s = %+v in JSON, %+v in the snapshot", id, h, w)
+		}
+		if h.P50 < 0 || h.P95 < h.P50 || h.P99 < h.P95 || h.Max < h.P99 {
+			t.Errorf("%s quantiles not ordered: %+v", id, h)
+		}
 	}
-	if err := json.Unmarshal(body, &full); err != nil {
-		t.Fatalf("unmarshal full response: %v", err)
+	n := 0
+	for _, series := range doc {
+		n += len(series)
 	}
-	key := `evop_http_request_seconds{route="/healthz"}`
-	hs, ok := full.Latency[key]
-	if !ok || hs.Count == 0 {
-		t.Fatalf("latency[%s] = %+v ok=%v, want recorded requests", key, hs, ok)
+	if n != len(snap.Metrics) {
+		t.Fatalf("JSON holds %d series, snapshot %d", n, len(snap.Metrics))
 	}
-	if hs.P50 < 0 || hs.P95 < hs.P50 || hs.P99 < hs.P95 || hs.Max < 0 {
-		t.Fatalf("quantiles not ordered: %+v", hs)
+	if hs := doc.histogram(t, "http", `evop_http_request_seconds{route="/healthz"}`); hs.Count == 0 {
+		t.Fatal("no /healthz requests recorded")
 	}
-	if _, ok := full.Latency["evop_series_query_seconds"]; !ok {
-		t.Fatal("latency section missing evop_series_query_seconds")
-	}
-	if full.Process.Goroutines < 1 || full.Process.HeapBytes == 0 {
-		t.Fatalf("process section = %+v, want live goroutines and heap", full.Process)
-	}
-	if full.Process.UptimeSeconds < 120 {
-		t.Fatalf("uptime = %v s, want >= the 2 simulated minutes advanced", full.Process.UptimeSeconds)
+	if up := doc.value(t, "process", "evop_process_uptime_seconds"); up < 120 {
+		t.Fatalf("uptime = %v s, want >= the 2 simulated minutes advanced", up)
 	}
 }
 

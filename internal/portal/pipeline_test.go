@@ -85,40 +85,22 @@ func TestMetricsReportRequestPipeline(t *testing.T) {
 	f.get(t, "/healthz")
 	f.get(t, "/healthz")
 	f.get(t, "/sensors/ghost/latest") // 404: counts as an endpoint error
-	code, body := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	var m struct {
-		Sensors int `json:"sensors"` // embedded infra field stays top-level
-		HTTP    struct {
-			InFlight  int64 `json:"inFlight"`
-			Endpoints map[string]struct {
-				Requests  int64   `json:"requests"`
-				Errors    int64   `json:"errors"`
-				AvgMillis float64 `json:"avgMillis"`
-			} `json:"endpoints"`
-		} `json:"http"`
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m.Sensors != 15 {
-		t.Fatalf("embedded infra metrics lost: sensors = %d", m.Sensors)
+	m := f.getMetrics(t)
+	if got := m.value(t, "sensor", "evop_sensor_registered"); got != 15 {
+		t.Fatalf("registered sensors = %v, want 15", got)
 	}
 	// The /metrics request itself is in flight while the snapshot is taken.
-	if m.HTTP.InFlight < 1 {
-		t.Fatalf("inFlight = %d, want >= 1", m.HTTP.InFlight)
+	if got := m.value(t, "http", "evop_http_in_flight"); got < 1 {
+		t.Fatalf("in flight = %v, want >= 1", got)
 	}
-	if ep := m.HTTP.Endpoints["/healthz"]; ep.Requests < 2 {
-		t.Fatalf("/healthz requests = %d, want >= 2", ep.Requests)
+	if hs := m.histogram(t, "http", `evop_http_request_seconds{route="/healthz"}`); hs.Count < 2 {
+		t.Fatalf("/healthz requests = %d, want >= 2", hs.Count)
 	}
-	if ep := m.HTTP.Endpoints["/sensors/"]; ep.Errors < 1 {
-		t.Fatalf("/sensors/ errors = %d, want >= 1", ep.Errors)
+	if got := m.value(t, "http", `evop_http_request_errors_total{route="/sensors/"}`); got < 1 {
+		t.Fatalf("/sensors/ errors = %v, want >= 1", got)
 	}
-	if _, ok := m.HTTP.Endpoints["/widgets/model/run"]; !ok {
-		t.Fatal("registered endpoint missing from metrics")
-	}
+	// Registered routes are reported before their first request.
+	m.histogram(t, "http", `evop_http_request_seconds{route="/widgets/model/run"}`)
 }
 
 func TestPanicRecovery(t *testing.T) {
@@ -145,17 +127,8 @@ func TestPanicRecovery(t *testing.T) {
 	if code, _ := f.get(t, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after panic = %d", code)
 	}
-	_, mb := f.get(t, "/metrics")
-	var m struct {
-		HTTP struct {
-			Panics int64 `json:"panics"`
-		} `json:"http"`
-	}
-	if err := json.Unmarshal(mb, &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m.HTTP.Panics < 1 {
-		t.Fatalf("panics = %d, want >= 1", m.HTTP.Panics)
+	if got := f.getMetrics(t).value(t, "http", "evop_http_panics_total"); got < 1 {
+		t.Fatalf("panics = %v, want >= 1", got)
 	}
 }
 
@@ -252,8 +225,8 @@ func TestClientDisconnectAbandonsModelRun(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("simulation kept running after its only client disconnected")
 	}
-	if st := f.obs.Metrics().ModelRunCache; st.Canceled < 1 {
-		t.Fatalf("cache stats = %+v, want canceled >= 1", st)
+	if got := f.runs("canceled"); got < 1 {
+		t.Fatalf("canceled run-cache waits = %d, want >= 1", got)
 	}
 }
 
@@ -308,7 +281,7 @@ func TestDisconnectedDuplicateDoesNotKillConnectedRequest(t *testing.T) {
 	}()
 	// Wait until B has actually joined before disconnecting A.
 	deadline := time.Now().Add(5 * time.Second)
-	for f.obs.Metrics().ModelRunCache.Coalesced < 1 {
+	for f.runs("coalesced") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second client never coalesced onto the flight")
 		}
@@ -319,7 +292,7 @@ func TestDisconnectedDuplicateDoesNotKillConnectedRequest(t *testing.T) {
 	// A's client gave up, but the server-side handler observes the
 	// cancellation asynchronously; wait for it to be counted before
 	// releasing the flight, or its select could see completion first.
-	for f.obs.Metrics().ModelRunCache.Canceled < 1 {
+	for f.runs("canceled") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("disconnected client was never counted as canceled")
 		}
@@ -346,9 +319,8 @@ func TestDisconnectedDuplicateDoesNotKillConnectedRequest(t *testing.T) {
 	if len(out.Hydrograph) != 20*24 {
 		t.Fatalf("connected client got truncated hydrograph: %d points", len(out.Hydrograph))
 	}
-	st := f.obs.Metrics().ModelRunCache
-	if st.Misses != 1 || st.Canceled != 1 {
-		t.Fatalf("cache stats = %+v, want 1 miss, 1 canceled", st)
+	if f.runs("misses") != 1 || f.runs("canceled") != 1 {
+		t.Fatalf("run-cache misses/canceled = %d/%d, want 1/1", f.runs("misses"), f.runs("canceled"))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"evop/internal/clock"
 	"evop/internal/core"
 	"evop/internal/geo"
+	"evop/internal/resilience"
 	"evop/internal/ws"
 )
 
@@ -53,6 +54,11 @@ func newFixtureWith(t testing.TB, tune func(*core.Config)) *fixture {
 	srv := httptest.NewServer(p)
 	t.Cleanup(srv.Close)
 	return &fixture{obs: obs, clk: clk, p: p, srv: srv}
+}
+
+// runs reads the observatory's evop_runcache_<outcome>_total counter.
+func (f *fixture) runs(outcome string) uint64 {
+	return f.obs.MetricsRegistry().Counter("evop_runcache_"+outcome+"_total", "").Value()
 }
 
 func (f *fixture) get(t *testing.T, path string) (int, []byte) {
@@ -463,36 +469,19 @@ func TestWorkflowCompositionOverHTTP(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	f := newFixture(t)
 	f.clk.Advance(2 * time.Minute) // warm instance, some LB ticks
-	code, body := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d %s", code, body)
+	m := f.getMetrics(t)
+	if got := m.value(t, "sensor", "evop_sensor_registered"); got != 15 {
+		t.Fatalf("registered sensors = %v, want 15", got)
 	}
-	var m struct {
-		PrivateInstances int `json:"privateInstances"`
-		LBTicks          int `json:"lbTicks"`
-		Sensors          int `json:"sensors"`
-		Resilience       struct {
-			Providers []struct {
-				Name    string `json:"name"`
-				Breaker string `json:"breaker"`
-			} `json:"providers"`
-			LB struct {
-				Ticks int `json:"ticks"`
-			} `json:"lb"`
-		} `json:"resilience"`
+	if m.value(t, "lb", "evop_lb_ticks_total") == 0 {
+		t.Fatal("no LB ticks reported")
 	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	if m.value(t, "instances", `evop_instances{kind="private"}`) == 0 {
+		t.Fatal("no private instances reported")
 	}
-	if m.Sensors != 15 || m.LBTicks == 0 || m.PrivateInstances == 0 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if len(m.Resilience.Providers) != 2 || m.Resilience.LB.Ticks == 0 {
-		t.Fatalf("resilience metrics = %+v, want 2 providers and live LB stats", m.Resilience)
-	}
-	for _, p := range m.Resilience.Providers {
-		if p.Breaker != "closed" {
-			t.Fatalf("breaker %s = %q, want closed on a healthy platform", p.Name, p.Breaker)
+	for _, p := range []string{"openstack-lancaster", "aws-eu-west"} {
+		if got := m.value(t, "breaker", `evop_breaker_state{name="`+p+`"}`); got != float64(resilience.Closed) {
+			t.Fatalf("breaker %s state = %v, want closed on a healthy platform", p, got)
 		}
 	}
 }
@@ -676,22 +665,12 @@ func TestModelRunWidgetCacheHeader(t *testing.T) {
 	}
 
 	// The metrics endpoint surfaces the cache counters.
-	code, mb := f.get(t, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	var m struct {
-		ModelRunCache struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-			Size   int   `json:"size"`
-		} `json:"modelRunCache"`
-	}
-	if err := json.Unmarshal(mb, &m); err != nil {
-		t.Fatalf("unmarshal metrics: %v", err)
-	}
-	if m.ModelRunCache.Hits < 1 || m.ModelRunCache.Misses < 1 || m.ModelRunCache.Size < 1 {
-		t.Fatalf("modelRunCache metrics = %+v, want >=1 hit/miss/size", m.ModelRunCache)
+	m := f.getMetrics(t)
+	hits := m.value(t, "runcache", "evop_runcache_hits_total")
+	misses := m.value(t, "runcache", "evop_runcache_misses_total")
+	entries := m.value(t, "runcache", "evop_runcache_entries")
+	if hits < 1 || misses < 1 || entries < 1 {
+		t.Fatalf("run-cache hits/misses/entries = %v/%v/%v, want >= 1 each", hits, misses, entries)
 	}
 }
 
@@ -741,11 +720,10 @@ func TestModelRunWidgetCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d: X-Cache = %q", i, outcomes[i])
 		}
 	}
-	st := f.obs.Metrics().ModelRunCache
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1 simulation for %d identical requests", st.Misses, clients)
+	if got := f.runs("misses"); got != 1 {
+		t.Fatalf("misses = %d, want exactly 1 simulation for %d identical requests", got, clients)
 	}
-	if st.Hits+st.Coalesced != clients-1 {
-		t.Fatalf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, clients-1)
+	if got := f.runs("hits") + f.runs("coalesced"); got != clients-1 {
+		t.Fatalf("hits+coalesced = %d, want %d", got, clients-1)
 	}
 }

@@ -40,7 +40,7 @@ const maxAggBuckets = 8192
 // fastest LEFT sampling cadence, so default buckets hold ≥1 reading.
 const defaultAggStep = 15 * time.Minute
 
-// seriesInstruments tracks the series read path for /metrics.
+// seriesInstruments records the series read path in the registry.
 type seriesInstruments struct {
 	notModified   *metrics.Counter
 	downsampled   *metrics.Counter
@@ -64,28 +64,6 @@ func newSeriesInstruments(reg *metrics.Registry) seriesInstruments {
 			"Observations leaving the downsampler."),
 		querySeconds: reg.Histogram("evop_series_query_seconds",
 			"Series query latency.", metrics.DurationScale),
-	}
-}
-
-// SeriesMetrics is the /metrics "series" section: how often conditional
-// requests short-circuited and how hard the downsampler is compressing.
-type SeriesMetrics struct {
-	// NotModified counts series requests answered 304 from the validators.
-	NotModified uint64 `json:"notModified"`
-	// Downsampled counts responses that went through the downsampler.
-	Downsampled uint64 `json:"downsampled"`
-	// DownsampleIn/DownsampleOut are total observations entering and
-	// leaving the downsampler; their ratio is the average compression.
-	DownsampleIn  uint64 `json:"downsampleInPoints"`
-	DownsampleOut uint64 `json:"downsampleOutPoints"`
-}
-
-func (c *seriesInstruments) metrics() SeriesMetrics {
-	return SeriesMetrics{
-		NotModified:   c.notModified.Value(),
-		Downsampled:   c.downsampled.Value(),
-		DownsampleIn:  c.downsampleIn.Value(),
-		DownsampleOut: c.downsampleOut.Value(),
 	}
 }
 

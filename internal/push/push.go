@@ -390,7 +390,7 @@ func (h *Hub[T]) Publish(v T, topics ...string) int {
 }
 
 // CloseAll cancels every subscription and stops future publishes and
-// subscribes. The hub itself stays queryable (Stats) but inert.
+// subscribes. The hub itself stays queryable but inert.
 func (h *Hub[T]) CloseAll() {
 	h.closed.Store(true)
 	for i := range h.shards {
@@ -417,56 +417,3 @@ func (h *Hub[T]) CloseAll() {
 
 // Subscribers returns the number of live subscriptions.
 func (h *Hub[T]) Subscribers() int { return int(h.subs.Load()) }
-
-// ShardStats is one lock stripe's counters.
-type ShardStats struct {
-	// Topics and Registrations size the stripe's registry: distinct
-	// topics, and (topic, subscription) pairs.
-	Topics        int `json:"topics"`
-	Registrations int `json:"registrations"`
-	// Published counts publish×topic pairs routed to this stripe;
-	// Delivered events enqueued on subscribers; Coalesced evictions of
-	// stale events from full subscriber queues.
-	Published uint64 `json:"published"`
-	Delivered uint64 `json:"delivered"`
-	Coalesced uint64 `json:"coalesced"`
-}
-
-// Stats is a hub snapshot: per-shard counters plus totals.
-type Stats struct {
-	// Subscribers is the number of live subscriptions.
-	Subscribers int `json:"subscribers"`
-	// Published, Delivered and Coalesced are totals across shards.
-	Published uint64 `json:"published"`
-	Delivered uint64 `json:"delivered"`
-	Coalesced uint64 `json:"coalesced"`
-	// Shards holds the per-stripe breakdown.
-	Shards []ShardStats `json:"shards"`
-}
-
-// Stats returns a snapshot of the hub's counters.
-func (h *Hub[T]) Stats() Stats {
-	st := Stats{
-		Subscribers: h.Subscribers(),
-		Shards:      make([]ShardStats, len(h.shards)),
-	}
-	for i := range h.shards {
-		sh := &h.shards[i]
-		ss := ShardStats{
-			Published: sh.published.Value(),
-			Delivered: sh.delivered.Value(),
-			Coalesced: sh.coalesced.Value(),
-		}
-		sh.mu.RLock()
-		ss.Topics = len(sh.topics)
-		for _, set := range sh.topics {
-			ss.Registrations += len(set)
-		}
-		sh.mu.RUnlock()
-		st.Shards[i] = ss
-		st.Published += ss.Published
-		st.Delivered += ss.Delivered
-		st.Coalesced += ss.Coalesced
-	}
-	return st
-}

@@ -3,10 +3,40 @@ package push
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"evop/internal/metrics"
 )
+
+// hubTotal sums one evop_push_*_total counter across a hub's shards, as
+// registered in reg under the hub label.
+func hubTotal(reg *metrics.Registry, name, hub string, shards int) uint64 {
+	var n uint64
+	for i := 0; i < shards; i++ {
+		n += reg.Counter(name, "", metrics.L("hub", hub), metrics.L("shard", strconv.Itoa(i))).Value()
+	}
+	return n
+}
+
+// shardLoad returns each shard's distinct topics and (topic,
+// subscription) registrations.
+func shardLoad[T any](h *Hub[T]) (topics, registrations []int) {
+	for i := range h.shards {
+		sh := &h.shards[i]
+		sh.mu.RLock()
+		n := 0
+		for _, set := range sh.topics {
+			n += len(set)
+		}
+		topics = append(topics, len(sh.topics))
+		registrations = append(registrations, n)
+		sh.mu.RUnlock()
+	}
+	return topics, registrations
+}
 
 func TestTopicRouting(t *testing.T) {
 	h := NewHub[int](4)
@@ -60,7 +90,8 @@ func TestMultiTopicPublishDeliversOnce(t *testing.T) {
 }
 
 func TestCoalescingNewestWins(t *testing.T) {
-	h := NewHub[int](1)
+	reg := metrics.NewRegistry(nil)
+	h := NewHubWithMetrics[int](NewHubMetrics(reg, "t", 1))
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -92,9 +123,11 @@ func TestCoalescingNewestWins(t *testing.T) {
 	if s.Dropped() != 16 {
 		t.Fatalf("Dropped = %d, want 16", s.Dropped())
 	}
-	st := h.Stats()
-	if st.Coalesced != 16 || st.Delivered != 20 || st.Published != 20 {
-		t.Fatalf("Stats = %+v, want 20 published, 20 delivered, 16 coalesced", st)
+	published := hubTotal(reg, "evop_push_published_total", "t", 1)
+	delivered := hubTotal(reg, "evop_push_delivered_total", "t", 1)
+	coalesced := hubTotal(reg, "evop_push_coalesced_total", "t", 1)
+	if published != 20 || delivered != 20 || coalesced != 16 {
+		t.Fatalf("published/delivered/coalesced = %d/%d/%d, want 20/20/16", published, delivered, coalesced)
 	}
 }
 
@@ -120,10 +153,10 @@ func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
 	if h.Subscribers() != 0 {
 		t.Fatalf("Subscribers = %d after Cancel", h.Subscribers())
 	}
-	st := h.Stats()
-	for _, ss := range st.Shards {
-		if ss.Registrations != 0 || ss.Topics != 0 {
-			t.Fatalf("registry not empty after Cancel: %+v", st)
+	topics, registrations := shardLoad(h)
+	for i := range topics {
+		if topics[i] != 0 || registrations[i] != 0 {
+			t.Fatalf("registry not empty after Cancel: topics %v, registrations %v", topics, registrations)
 		}
 	}
 }
@@ -197,8 +230,9 @@ func TestShardStriping(t *testing.T) {
 		}
 	}
 	nonEmpty := 0
-	for _, ss := range h.Stats().Shards {
-		if ss.Topics > 0 {
+	topics, _ := shardLoad(h)
+	for _, n := range topics {
+		if n > 0 {
 			nonEmpty++
 		}
 	}
@@ -254,7 +288,8 @@ func TestChurn10kSubscribers(t *testing.T) {
 		perWorker  = 1250 // 8 × 1250 = 10k subscriptions over the test
 		topicCount = 32
 	)
-	h := NewHub[int](DefaultShards)
+	reg := metrics.NewRegistry(nil)
+	h := NewHubWithMetrics[int](NewHubMetrics(reg, "t", DefaultShards))
 	stop := make(chan struct{})
 	var pubWG sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -307,13 +342,13 @@ func TestChurn10kSubscribers(t *testing.T) {
 	if h.Subscribers() != 0 {
 		t.Fatalf("Subscribers = %d after churn, want 0", h.Subscribers())
 	}
-	st := h.Stats()
-	for i, ss := range st.Shards {
-		if ss.Registrations != 0 {
-			t.Fatalf("shard %d still holds %d registrations", i, ss.Registrations)
+	_, registrations := shardLoad(h)
+	for i, n := range registrations {
+		if n != 0 {
+			t.Fatalf("shard %d still holds %d registrations", i, n)
 		}
 	}
-	if st.Delivered == 0 {
+	if hubTotal(reg, "evop_push_delivered_total", "t", DefaultShards) == 0 {
 		t.Fatal("churn delivered nothing; publishers never reached subscribers")
 	}
 }

@@ -110,7 +110,8 @@ type Breaker struct {
 	probeInFlight  bool
 	probeSuccesses int
 	reopenAt       time.Time
-	// stats
+	// stats; stateG mirrors state as its BreakerState value.
+	stateG    *metrics.Gauge
 	opens     *metrics.Counter
 	successes *metrics.Counter
 	failures  *metrics.Counter
@@ -128,9 +129,10 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	}
 	reg := cfg.Metrics
 	name := metrics.L("name", cfg.Name)
-	return &Breaker{
-		cfg:   cfg,
-		state: Closed,
+	b := &Breaker{
+		cfg: cfg,
+		stateG: reg.Gauge("evop_breaker_state",
+			"Circuit-breaker position: 1 closed, 2 open, 3 half-open.", name),
 		opens: reg.Counter("evop_breaker_opens_total",
 			"Circuit-breaker trips to the open state.", name),
 		successes: reg.Counter("evop_breaker_successes_total",
@@ -139,7 +141,16 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 			"Calls reported failed through the breaker.", name),
 		rejected: reg.Counter("evop_breaker_rejected_total",
 			"Calls fast-failed while the breaker was open or probing.", name),
-	}, nil
+	}
+	b.setStateLocked(Closed)
+	return b, nil
+}
+
+// setStateLocked moves the breaker to st and mirrors it in the state
+// gauge; the lock is held (or the breaker is not yet shared).
+func (b *Breaker) setStateLocked(st BreakerState) {
+	b.state = st
+	b.stateG.Set(int64(st))
 }
 
 // Allow reports whether a call may proceed now. In the open state it
@@ -154,7 +165,7 @@ func (b *Breaker) Allow() bool {
 			b.rejected.Inc()
 			return false
 		}
-		b.state = HalfOpen
+		b.setStateLocked(HalfOpen)
 		b.probeSuccesses = 0
 		b.probeInFlight = true
 		return true
@@ -182,7 +193,7 @@ func (b *Breaker) Success() {
 		b.probeInFlight = false
 		b.probeSuccesses++
 		if b.probeSuccesses >= b.cfg.HalfOpenProbes {
-			b.state = Closed
+			b.setStateLocked(Closed)
 			b.consecFails = 0
 		}
 	case Open:
@@ -211,7 +222,7 @@ func (b *Breaker) Failure() {
 
 // tripLocked opens the breaker; the lock is held.
 func (b *Breaker) tripLocked() {
-	b.state = Open
+	b.setStateLocked(Open)
 	b.opens.Inc()
 	b.reopenAt = b.cfg.Clock.Now().Add(b.cfg.OpenTimeout)
 }

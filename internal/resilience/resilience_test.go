@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"evop/internal/clock"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -72,10 +73,20 @@ func TestBreakerConfigValidation(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	br, err := NewBreaker(BreakerConfig{Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute})
+	reg := metrics.NewRegistry(clk)
+	br, err := NewBreaker(BreakerConfig{Name: "b", Clock: clk, FailureThreshold: 3, OpenTimeout: time.Minute, Metrics: reg})
 	if err != nil {
 		t.Fatalf("NewBreaker: %v", err)
 	}
+	// The state gauge mirrors every transition.
+	gauge := reg.Gauge("evop_breaker_state", "", metrics.L("name", "b"))
+	checkGauge := func() {
+		t.Helper()
+		if got, want := gauge.Value(), int64(br.State()); got != want {
+			t.Fatalf("evop_breaker_state = %d, want %d (%v)", got, want, br.State())
+		}
+	}
+	checkGauge()
 	// Closed: calls flow; sub-threshold failures do not trip.
 	for i := 0; i < 2; i++ {
 		if !br.Allow() {
@@ -93,6 +104,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if br.State() != Open {
 		t.Fatalf("state = %v, want open after threshold", br.State())
 	}
+	checkGauge()
 	if br.Allow() {
 		t.Fatal("open breaker admitted a call before the cooldown")
 	}
@@ -105,6 +117,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if br.State() != HalfOpen {
 		t.Fatalf("state = %v, want half-open", br.State())
 	}
+	checkGauge()
 	if br.Allow() {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
@@ -114,6 +127,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if br.State() != Open {
 		t.Fatalf("state = %v, want open after failed probe", br.State())
 	}
+	checkGauge()
 	clk.Advance(30 * time.Second)
 	if br.Allow() {
 		t.Fatal("reopened breaker admitted a call mid-cooldown")
@@ -127,6 +141,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if br.State() != Closed {
 		t.Fatalf("state = %v, want closed after successful probe", br.State())
 	}
+	checkGauge()
 	if !br.Allow() {
 		t.Fatal("closed breaker rejected a call after recovery")
 	}

@@ -61,25 +61,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats is a snapshot of the cache's counters.
-type Stats struct {
-	// Hits counts calls answered from cache, Misses counts computations
-	// started, Coalesced counts calls that joined a shared in-flight
-	// computation.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	// Canceled counts callers whose context ended before their value was
-	// available (a leader or follower that stopped waiting).
-	Canceled int64 `json:"canceled"`
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions int64 `json:"evictions"`
-	// StaleHits counts degraded lookups answered from the family index.
-	StaleHits int64 `json:"staleHits"`
-	// Size is the current number of cached entries.
-	Size int `json:"size"`
-}
-
 // Cache is a bounded LRU cache with request coalescing. The zero value
 // is not usable; construct with New. All methods are safe for concurrent
 // use. Cached values are shared between callers — treat them as
@@ -135,12 +116,13 @@ func New[V any](capacity int) *Cache[V] {
 }
 
 // NewWithMetrics returns a cache whose outcome counters are registered
-// in reg as evop_runcache_*_total (nil keeps them private).
+// in reg as evop_runcache_*_total, beside an evop_runcache_entries gauge
+// (nil keeps them private).
 func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache[V]{
+	c := &Cache[V]{
 		capacity: capacity,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
@@ -160,6 +142,9 @@ func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 		staleHits: reg.Counter("evop_runcache_stale_hits_total",
 			"Degraded lookups served from the stale family index."),
 	}
+	reg.GaugeFunc("evop_runcache_entries", "Run-cache entries currently held.",
+		func() float64 { return float64(c.Len()) })
+	return c
 }
 
 // Do returns the cached value for key, or computes it with compute. At
@@ -346,19 +331,4 @@ func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache[V]) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:      int64(c.hits.Value()),
-		Misses:    int64(c.misses.Value()),
-		Coalesced: int64(c.coalesced.Value()),
-		Canceled:  int64(c.canceled.Value()),
-		Evictions: int64(c.evictions.Value()),
-		StaleHits: int64(c.staleHits.Value()),
-		Size:      c.ll.Len(),
-	}
 }

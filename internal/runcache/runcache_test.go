@@ -9,10 +9,23 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"evop/internal/metrics"
 )
 
+// newMetered returns a cache recording into a fresh registry, with a
+// reader for its evop_runcache_<outcome>_total counters and the
+// registry itself.
+func newMetered[V any](capacity int) (*Cache[V], func(outcome string) uint64, *metrics.Registry) {
+	reg := metrics.NewRegistry(nil)
+	count := func(outcome string) uint64 {
+		return reg.Counter("evop_runcache_"+outcome+"_total", "").Value()
+	}
+	return NewWithMetrics[V](capacity, reg), count, reg
+}
+
 func TestDoMissThenHit(t *testing.T) {
-	c := New[int](4)
+	c, count, reg := newMetered[int](4)
 	calls := 0
 	compute := func(context.Context) (int, error) { calls++; return 42, nil }
 
@@ -27,9 +40,17 @@ func TestDoMissThenHit(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Coalesced != 0 || st.Size != 1 {
-		t.Fatalf("stats = %+v", st)
+	if count("hits") != 1 || count("misses") != 1 || count("coalesced") != 0 {
+		t.Fatalf("hits/misses/coalesced = %d/%d/%d, want 1/1/0", count("hits"), count("misses"), count("coalesced"))
+	}
+	entries := -1.0
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "evop_runcache_entries" {
+			entries = m.Value
+		}
+	}
+	if entries != 1 {
+		t.Fatalf("evop_runcache_entries = %v, want 1", entries)
 	}
 }
 
@@ -49,7 +70,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](2)
+	c, count, _ := newMetered[int](2)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, _, err := c.Do(context.Background(), key, func(context.Context) (int, error) { return i, nil }); err != nil {
@@ -64,8 +85,8 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("%s evicted, want retained", key)
 		}
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction, size 2", st)
+	if count("evictions") != 1 || c.Len() != 2 {
+		t.Fatalf("evictions = %d, size = %d, want 1 and 2", count("evictions"), c.Len())
 	}
 }
 
@@ -87,7 +108,7 @@ func TestLRURecencyOrder(t *testing.T) {
 }
 
 func TestCoalescing(t *testing.T) {
-	c := New[int](4)
+	c, count, _ := newMetered[int](4)
 	const waiters = 8
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -126,7 +147,7 @@ func TestCoalescing(t *testing.T) {
 		}()
 	}
 	// Wait until every duplicate is parked on the in-flight computation.
-	for c.Stats().Coalesced < waiters-1 {
+	for count("coalesced") < waiters-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -194,7 +215,7 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func TestDoDeadContextNeverComputes(t *testing.T) {
-	c := New[int](4)
+	c, count, _ := newMetered[int](4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
@@ -210,8 +231,8 @@ func TestDoDeadContextNeverComputes(t *testing.T) {
 	if v, out, err := c.Do(ctx, "k", nil); v != 9 || out != Hit || err != nil {
 		t.Fatalf("dead-context hit = %v %v %v, want 9 hit nil", v, out, err)
 	}
-	if st := c.Stats(); st.Canceled != 1 {
-		t.Fatalf("canceled = %d, want 1", st.Canceled)
+	if got := count("canceled"); got != 1 {
+		t.Fatalf("canceled = %d, want 1", got)
 	}
 }
 
@@ -219,7 +240,7 @@ func TestDoDeadContextNeverComputes(t *testing.T) {
 // one browser abandoning a run must not steal the shared result from the
 // waiters still connected.
 func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
-	c := New[int](4)
+	c, count, _ := newMetered[int](4)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var computeCtxErr atomic.Value
@@ -248,7 +269,7 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 			t.Errorf("follower Do = %v %v, want canceled", out, err)
 		}
 	}()
-	for c.Stats().Coalesced < 1 {
+	for count("coalesced") < 1 {
 		runtime.Gosched()
 	}
 	fcancel()
@@ -264,9 +285,8 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 	if v, ok := c.Get("k"); !ok || v != 42 {
 		t.Fatalf("result not cached after follower cancel: %v %v", v, ok)
 	}
-	st := c.Stats()
-	if st.Canceled != 1 || st.Coalesced != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	if count("canceled") != 1 || count("coalesced") != 1 || count("misses") != 1 {
+		t.Fatalf("canceled/coalesced/misses = %d/%d/%d, want 1/1/1", count("canceled"), count("coalesced"), count("misses"))
 	}
 }
 

@@ -13,7 +13,9 @@
 //
 //   - A fixed set of workers (default GOMAXPROCS) with per-worker chunked
 //     task queues. A worker prefers its own queue and steals from its
-//     neighbours when empty, so an uneven batch balances itself.
+//     neighbours when empty, so an uneven batch balances itself. Every
+//     queue is FIFO, so a batch runs in about index order and a failure
+//     at a low index cancels the chunks above it before they start.
 //   - Two priority classes aligned with the admission controller's
 //     ordering: ClassModel (interactive model runs) is always drained
 //     before ClassBulk (sweeps, async executions), whichever worker's
@@ -106,6 +108,39 @@ type chunk struct {
 	class  Class
 }
 
+// queue is a FIFO of chunks: push at the tail, take from the head. The
+// consumed prefix is reclaimed when the queue drains or the backing
+// array fills, so neither operation shifts the live chunks.
+type queue struct {
+	items []chunk
+	head  int
+}
+
+func (q *queue) len() int { return len(q.items) - q.head }
+
+func (q *queue) push(c chunk) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, c)
+}
+
+// take removes and returns the chunk at position i ≥ q.head, keeping
+// the others in order. Taking the head is O(1); taking deeper shifts
+// only the chunks in front of it.
+func (q *queue) take(i int) chunk {
+	c := q.items[i]
+	copy(q.items[q.head+1:i+1], q.items[q.head:i])
+	q.items[q.head] = chunk{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return c
+}
+
 // Pool is the shared worker pool. All methods are safe for concurrent
 // use. The zero value is not usable; construct with New.
 type Pool struct {
@@ -114,9 +149,9 @@ type Pool struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [][numClasses][]chunk // per worker, per class; pushed/popped at the tail, stolen under the same lock
-	rr     int                   // round-robin push cursor
-	async  int                   // queued + running TrySubmit tasks
+	queues [][numClasses]queue // per worker, per class; taken from the head by owner and thieves alike
+	rr     int                 // round-robin push cursor
+	async  int                 // queued + running TrySubmit tasks
 	closed bool
 
 	wg sync.WaitGroup // worker goroutines
@@ -146,7 +181,7 @@ func New(cfg Config) (*Pool, error) {
 	p := &Pool{
 		workers:  workers,
 		maxAsync: maxAsync,
-		queues:   make([][numClasses][]chunk, workers),
+		queues:   make([][numClasses]queue, workers),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	reg := cfg.Metrics
@@ -225,7 +260,7 @@ func (p *Pool) pushLocked(c chunk) {
 	if p.rr >= p.workers {
 		p.rr = 0
 	}
-	p.queues[w][c.class] = append(p.queues[w][c.class], c)
+	p.queues[w][c.class].push(c)
 	p.depth[c.class].Add(1)
 }
 
@@ -252,7 +287,7 @@ func (p *Pool) pushBatch(b *batch, n, size int, class Class) bool {
 
 // popLocked takes one chunk for worker id: class-major (every model
 // chunk anywhere in the pool outranks any bulk chunk), own queue first,
-// then stealing from the other workers' tails.
+// then stealing from the other workers, always from a queue's head.
 func (p *Pool) popLocked(id int) (chunk, bool) {
 	for cl := 0; cl < numClasses; cl++ {
 		for off := 0; off < p.workers; off++ {
@@ -260,35 +295,29 @@ func (p *Pool) popLocked(id int) (chunk, bool) {
 			if v >= p.workers {
 				v -= p.workers
 			}
-			q := p.queues[v][cl]
-			if len(q) == 0 {
+			q := &p.queues[v][cl]
+			if q.len() == 0 {
 				continue
 			}
-			c := q[len(q)-1]
-			p.queues[v][cl] = q[:len(q)-1]
 			p.depth[cl].Add(-1)
-			return c, true
+			return q.take(q.head), true
 		}
 	}
 	return chunk{}, false
 }
 
-// takeFor removes one queued chunk belonging to batch b, for the
-// submitting goroutine's helping loop.
+// takeFor removes the oldest queued chunk of batch b from the first
+// queue holding one, for the submitting goroutine's helping loop.
 func (p *Pool) takeFor(b *batch) (chunk, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for w := 0; w < p.workers; w++ {
-		q := p.queues[w][b.class]
-		for i := len(q) - 1; i >= 0; i-- {
-			if q[i].b != b {
-				continue
+		q := &p.queues[w][b.class]
+		for i := q.head; i < len(q.items); i++ {
+			if q.items[i].b == b {
+				p.depth[b.class].Add(-1)
+				return q.take(i), true
 			}
-			c := q[i]
-			copy(q[i:], q[i+1:])
-			p.queues[w][b.class] = q[:len(q)-1]
-			p.depth[b.class].Add(-1)
-			return c, true
 		}
 	}
 	return chunk{}, false

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,32 +116,58 @@ func TestNilPoolRunsInline(t *testing.T) {
 	}
 }
 
-// TestFirstErrorCancels pins error semantics: the single failing index's
-// error comes back, and remaining work is skipped rather than run to
-// completion.
+// TestFirstErrorCancels pins fail-fast: the failing index's error comes
+// back, and the first error cancels the chunks above it. Every chunk
+// above the failing index holds until the batch has recorded the error,
+// so it can only have run if an executor took it before the failing
+// chunk finished. Chunks dispatched in index order leave at most one
+// such chunk per executor (each worker plus the helping submitter); a
+// dispatch that reaches the failing index late holds every executor on a
+// high index and times out.
 func TestFirstErrorCancels(t *testing.T) {
-	p := newPool(t, Config{Workers: 2})
+	const (
+		workers = 2
+		n       = 1000
+		failIdx = 3
+	)
+	p := newPool(t, Config{Workers: workers})
 	sentinel := errors.New("boom")
-	var mu sync.Mutex
-	ran := 0
 	r := NewRunner[struct{}](p, ClassBulk, nil)
 	r.SetChunk(1)
-	err := r.ForEach(context.Background(), 1000, func(_ struct{}, i int) error {
-		mu.Lock()
-		ran++
-		mu.Unlock()
-		if i == 3 {
+	var above, afterErr atomic.Int64
+	var timedOut atomic.Bool
+	deadline := time.Now().Add(5 * time.Second)
+	err := r.ForEach(context.Background(), n, func(_ struct{}, i int) error {
+		if i == failIdx {
 			return fmt.Errorf("index %d: %w", i, sentinel)
+		}
+		if i < failIdx {
+			return nil
+		}
+		above.Add(1)
+		if r.b.firstErr() != nil {
+			afterErr.Add(1)
+		}
+		for r.b.firstErr() == nil && !timedOut.Load() {
+			if time.Now().After(deadline) {
+				timedOut.Store(true)
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
 		return nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("ForEach err = %v, want wrapped sentinel", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ran >= 1000 {
-		t.Fatal("error did not cancel remaining work")
+	if timedOut.Load() {
+		t.Fatalf("chunks above index %d waited 5s for its error: the batch did not reach it first", failIdx)
+	}
+	const executors = workers + 1
+	if got := afterErr.Load(); got > executors {
+		t.Fatalf("%d chunks started after the error was recorded, want at most one per executor (%d)", got, executors)
+	}
+	if got := above.Load(); got > executors {
+		t.Fatalf("%d chunks above the failing index ran, want at most one per executor (%d)", got, executors)
 	}
 }
 

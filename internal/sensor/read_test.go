@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evop/internal/clock"
+	"evop/internal/metrics"
 	"evop/internal/timeseries"
 )
 
@@ -18,9 +19,10 @@ import (
 // the run is race-clean under -race.
 func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, err := NewNetwork(clk)
+	reg := metrics.NewRegistry(clk)
+	n, err := NewNetworkWithMetrics(clk, reg)
 	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
+		t.Fatalf("NewNetworkWithMetrics: %v", err)
 	}
 	ids := []string{"level-a", "level-b", "level-c", "level-d"}
 	for _, id := range ids {
@@ -114,9 +116,10 @@ func TestHistoryContentionDoesNotStarveIngest(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("no reader queries completed")
 	}
-	st := n.ReadStats()
-	if st.SeriesQueries == 0 || st.AggregateQueries == 0 {
-		t.Fatalf("ReadStats = %+v, want nonzero series and aggregate counts", st)
+	series := reg.Counter("evop_sensor_series_queries_total", "").Value()
+	aggregates := reg.Counter("evop_sensor_aggregate_queries_total", "").Value()
+	if series == 0 || aggregates == 0 {
+		t.Fatalf("series/aggregate queries = %d/%d, want both counted", series, aggregates)
 	}
 }
 

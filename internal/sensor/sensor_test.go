@@ -7,6 +7,7 @@ import (
 
 	"evop/internal/clock"
 	"evop/internal/geo"
+	"evop/internal/metrics"
 )
 
 var epoch = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -243,7 +244,17 @@ func TestSubscribeSlowConsumerDrops(t *testing.T) {
 // stopping must leave no pending timers behind.
 func TestSubscribeStopCloses(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	n, _ := NewNetwork(clk)
+	reg := metrics.NewRegistry(clk)
+	n, _ := NewNetworkWithMetrics(clk, reg)
+	subscribers := func() float64 {
+		for _, m := range reg.Snapshot().Metrics {
+			if m.SeriesID() == `evop_push_subscribers{hub="sensors"}` {
+				return m.Value
+			}
+		}
+		t.Fatal("evop_push_subscribers{hub=\"sensors\"} not registered")
+		return 0
+	}
 	n.Add(levelSensor("lvl"))
 	kept, cancelKept := n.Subscribe()
 	gone, cancelGone := n.Subscribe()
@@ -252,8 +263,8 @@ func TestSubscribeStopCloses(t *testing.T) {
 	if _, ok := <-gone; ok {
 		t.Fatal("unsubscribed channel not closed")
 	}
-	if got := n.PushStats().Subscribers; got != 1 {
-		t.Fatalf("subscribers after unsubscribe = %d, want 1", got)
+	if got := subscribers(); got != 1 {
+		t.Fatalf("subscribers after unsubscribe = %v, want 1", got)
 	}
 	n.Start()
 	clk.Advance(30 * time.Minute)
@@ -267,8 +278,8 @@ func TestSubscribeStopCloses(t *testing.T) {
 	if _, ok := <-kept; ok {
 		t.Fatal("subscriber channel not closed by Stop")
 	}
-	if got := n.PushStats().Subscribers; got != 0 {
-		t.Fatalf("subscribers after Stop = %d, want 0", got)
+	if got := subscribers(); got != 0 {
+		t.Fatalf("subscribers after Stop = %v, want 0", got)
 	}
 	if clk.PendingTimers() != 0 {
 		t.Fatalf("pending timers after Stop = %d", clk.PendingTimers())

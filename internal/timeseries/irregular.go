@@ -94,17 +94,6 @@ func (ir *Irregular) WindowView(from, to time.Time) []Observation {
 	return ir.obs[lo:hi:hi]
 }
 
-// WindowFunc calls fn for each observation with Time in [from, to), in
-// time order, without copying. Iteration stops early when fn returns
-// false.
-func (ir *Irregular) WindowFunc(from, to time.Time, fn func(Observation) bool) {
-	for _, o := range ir.WindowView(from, to) {
-		if !fn(o) {
-			return
-		}
-	}
-}
-
 // Nearest returns the observation closest in time to t. This is the
 // primitive behind the paper's Fig. 5 multimodal widget, which pairs each
 // sensor reading with "the corresponding webcam image taken roughly at the

@@ -20,10 +20,9 @@ type Conn struct {
 	writeMu sync.Mutex
 	readMu  sync.Mutex
 
-	stateMu    sync.Mutex
-	closed     bool
-	closeSent  bool
-	maxPayload int64
+	stateMu   sync.Mutex
+	closed    bool
+	closeSent bool
 
 	// Stats counts wire traffic for the push-vs-poll experiment.
 	statsMu      sync.Mutex
@@ -33,22 +32,16 @@ type Conn struct {
 	msgsWritten  uint64
 }
 
+// maxMessageBytes bounds an accepted message's payload.
+const maxMessageBytes = 1 << 20
+
 // newConn wraps an upgraded network connection.
 func newConn(nc net.Conn, isClient bool, seed int64) *Conn {
 	return &Conn{
-		nc:         nc,
-		isClient:   isClient,
-		rng:        rand.New(rand.NewSource(seed)),
-		maxPayload: 1 << 20,
+		nc:       nc,
+		isClient: isClient,
+		rng:      rand.New(rand.NewSource(seed)),
 	}
-}
-
-// SetMaxPayload bounds accepted message sizes (default 1 MiB; <=0 removes
-// the bound).
-func (c *Conn) SetMaxPayload(n int64) {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	c.maxPayload = n
 }
 
 // Stats reports cumulative wire traffic on this connection.
@@ -142,10 +135,9 @@ func (c *Conn) ReadMessage() (Message, error) {
 			c.stateMu.Unlock()
 			return Message{}, ErrClosed
 		}
-		limit := c.maxPayload
 		c.stateMu.Unlock()
 
-		f, err := readFrame(countingReader{c}, limit)
+		f, err := readFrame(countingReader{c}, maxMessageBytes)
 		if err != nil {
 			c.abort()
 			return Message{}, err
