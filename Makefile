@@ -21,14 +21,15 @@ check:
 	$(MAKE) fuzz-smoke
 
 # chaos is the fault-injection tier: the seeded chaos scenario, the faulty-
-# provider regression tests, the breaker/backoff unit tests and the compute
-# pool's shutdown/leak and fail-fast checks, run twice under the race
-# detector in a shuffled order so recovery is provably deterministic and
-# free of ordering dependencies.
+# provider regression tests, the breaker/backoff unit tests, the compute
+# pool's shutdown/leak and fail-fast checks and the async WPS pool
+# saturation and rollback checks, run twice under the race detector in a
+# shuffled order so recovery is provably deterministic and free of
+# ordering dependencies.
 chaos:
-	$(GO) test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|FirstError|LowestIndex' \
+	$(GO) test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|FirstError|LowestIndex|AsyncPool' \
 		./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
-		./internal/admission ./internal/sched
+		./internal/admission ./internal/sched ./internal/ogc/wps
 
 # lint-metrics forbids raw atomic counters outside internal/metrics —
 # operational counters belong in the unified registry so they surface in

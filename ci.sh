@@ -12,12 +12,12 @@ go test -race -shuffle=on ./...
 # catches bit-rot in the perf harness without timing anything.
 go test -run='^$' -bench=. -benchtime=1x ./...
 # Chaos tier: seeded fault-injection scenario + resilience regression
-# tests + the compute pool's shutdown/leak and fail-fast checks, twice
-# under race in shuffled order — recovery must be deterministic and
-# data-race free.
-go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|FirstError|LowestIndex' \
+# tests + the compute pool's shutdown/leak and fail-fast checks + the
+# async WPS pool saturation and rollback checks, twice under race in
+# shuffled order — recovery must be deterministic and data-race free.
+go test -race -shuffle=on -count=2 -run 'Chaos|Fault|Breaker|Backoff|Suspend|PoolClose|FirstError|LowestIndex|AsyncPool' \
 	./internal/loadbalancer ./internal/cloud/... ./internal/broker ./internal/resilience \
-	./internal/admission ./internal/sched
+	./internal/admission ./internal/sched ./internal/ogc/wps
 # Fuzz smoke tier: run every fuzzer briefly on fresh mutations — catches
 # parser regressions the seeded corpus alone would miss. One -fuzz
 # pattern per invocation (go test requires it to match exactly one).

@@ -261,7 +261,7 @@ func NewWithOptions(clk clock.Clock, opts Options) (*Broker, error) {
 		queued:       make(map[string]bool),
 		suspended:    make(map[string]bool),
 		retainedByID: make(map[string]*Session),
-		hub: push.NewHubWithMetrics[Update](
+		hub: push.NewHub[Update](
 			push.NewHubMetrics(reg, "sessions", push.DefaultShards)),
 		subs:  make(map[string]*push.Subscription[Update]),
 		bound: make(map[string]*cloud.Instance),

@@ -198,7 +198,7 @@ func New(cfg Config) (*Observatory, error) {
 		Assets:     rest.NewStore(),
 		forcings:   make(map[string]hydro.Forcing),
 		uploads:    make(map[string]*timeseries.Series),
-		runs:       runcache.NewWithMetrics[*RunResult](cacheSize, reg),
+		runs:       runcache.New[*RunResult](cacheSize, reg),
 		registry:   reg,
 		modelRunSeconds: reg.Histogram("evop_model_run_seconds",
 			"Uncached model simulation duration.", metrics.DurationScale),
@@ -331,7 +331,7 @@ func New(cfg Config) (*Observatory, error) {
 
 	// WPS: model execution processes. Async executions run as bulk-class
 	// tasks on the shared pool, bounded rather than goroutine-per-request.
-	o.WPS = wps.NewServiceWithOptions("EVOp WPS", wps.Options{Metrics: reg, Pool: o.Sched})
+	o.WPS = wps.NewService("EVOp WPS", o.Sched, reg)
 	if err := o.WPS.Register(&modelProcess{obs: o, model: "topmodel"}); err != nil {
 		return nil, fmt.Errorf("registering topmodel process: %w", err)
 	}

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -204,9 +205,9 @@ func TestRoutingDelaysPeak(t *testing.T) {
 func TestRunEnsemble(t *testing.T) {
 	f := testForcing(t, 24*10, 3)
 	decs := AllDecisions()[:6]
-	res, err := RunEnsemble(decs, DefaultParams(), f)
+	res, err := RunEnsembleOn(context.Background(), nil, decs, DefaultParams(), f)
 	if err != nil {
-		t.Fatalf("RunEnsemble: %v", err)
+		t.Fatalf("RunEnsembleOn: %v", err)
 	}
 	if len(res.Members) != 6 {
 		t.Fatalf("members = %d", len(res.Members))
@@ -230,7 +231,7 @@ func TestRunEnsemble(t *testing.T) {
 			t.Fatalf("mean[%d]=%v outside envelope [%v,%v]", i, m, lo, hi)
 		}
 	}
-	if _, err := RunEnsemble(nil, DefaultParams(), f); err == nil {
+	if _, err := RunEnsembleOn(context.Background(), nil, nil, DefaultParams(), f); err == nil {
 		t.Fatal("empty ensemble: want error")
 	}
 }

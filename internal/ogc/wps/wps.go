@@ -113,34 +113,12 @@ type execution struct {
 	err     string
 }
 
-// DefaultMaxAsync bounds in-flight asynchronous executions when Options
-// leaves MaxAsync at zero. Before this bound existed every accepted
-// async Execute spawned an unbounded goroutine — a handful of misbehaving
-// widgets could pile up arbitrary concurrent model runs behind the
-// admission controller's back.
-const DefaultMaxAsync = 64
-
-// Options configures a WPS service beyond its title.
-type Options struct {
-	// Metrics receives the evop_wps_* instruments; nil keeps them private.
-	Metrics *metrics.Registry
-	// Pool, when non-nil, runs asynchronous executions as bulk-class
-	// tasks on the shared compute pool instead of dedicated goroutines.
-	// A pool-level ErrSaturated surfaces to the client as ServerBusy,
-	// exactly like the MaxAsync bound.
-	Pool *sched.Pool
-	// MaxAsync bounds asynchronous executions that are accepted but not
-	// yet terminal; further async Execute requests are rejected with a
-	// ServerBusy exception. 0 means DefaultMaxAsync; negative means
-	// unbounded.
-	MaxAsync int
-}
-
 // Service is the WPS endpoint; it implements http.Handler.
 type Service struct {
-	title    string
-	pool     *sched.Pool
-	maxAsync int
+	title string
+	// pool runs asynchronous executions as bulk-class tasks and bounds
+	// them: a submission it refuses surfaces as a ServerBusy exception.
+	pool *sched.Pool
 
 	// execCtx scopes asynchronous executions to the service's lifetime:
 	// Close cancels it, and ctx-observing processes stop promptly.
@@ -152,45 +130,27 @@ type Service struct {
 	order     []string
 	execSeq   int
 	execs     map[string]*execution
-	active    int // async executions accepted but not yet terminal
 	wg        sync.WaitGroup
 
 	// executions counts Execute requests accepted per delivery mode.
 	syncExecs  *metrics.Counter
 	asyncExecs *metrics.Counter
-	// rejected counts async Execute requests shed at the MaxAsync bound
-	// or by pool saturation.
+	// rejected counts async Execute requests the pool refused.
 	rejected *metrics.Counter
-	// queueDepth mirrors active for scrapes.
+	// queueDepth counts async executions accepted but not yet terminal.
 	queueDepth *metrics.Gauge
 }
 
 var _ http.Handler = (*Service)(nil)
 
-// NewService returns an empty WPS service with the given title and
-// private instruments.
-func NewService(title string) *Service {
-	return NewServiceWithMetrics(title, nil)
-}
-
-// NewServiceWithMetrics returns an empty WPS service whose execution
-// counters are registered in reg (nil keeps them private).
-func NewServiceWithMetrics(title string, reg *metrics.Registry) *Service {
-	return NewServiceWithOptions(title, Options{Metrics: reg})
-}
-
-// NewServiceWithOptions returns an empty WPS service configured by opts.
-func NewServiceWithOptions(title string, opts Options) *Service {
+// NewService returns an empty WPS service with the given title whose
+// asynchronous executions run on pool, which must be non-nil. Its
+// execution counters are registered in reg (nil keeps them private).
+func NewService(title string, pool *sched.Pool, reg *metrics.Registry) *Service {
 	ctx, cancel := context.WithCancel(context.Background())
-	maxAsync := opts.MaxAsync
-	if maxAsync == 0 {
-		maxAsync = DefaultMaxAsync
-	}
-	reg := opts.Metrics
 	return &Service{
 		title:      title,
-		pool:       opts.Pool,
-		maxAsync:   maxAsync,
+		pool:       pool,
 		execCtx:    ctx,
 		execCancel: cancel,
 		processes:  make(map[string]Process),
@@ -456,14 +416,6 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 	}
 
 	s.mu.Lock()
-	if s.maxAsync >= 0 && s.active >= s.maxAsync {
-		n := s.active
-		s.mu.Unlock()
-		s.rejected.Inc()
-		writeException(w, http.StatusServiceUnavailable, "ServerBusy",
-			fmt.Sprintf("%d asynchronous executions in flight (max %d); retry later", n, s.maxAsync))
-		return
-	}
 	s.execSeq++
 	ex := &execution{
 		id:      "e" + strconv.Itoa(s.execSeq),
@@ -471,14 +423,13 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		status:  StatusAccepted,
 	}
 	s.execs[ex.id] = ex
-	s.active++
 	s.mu.Unlock()
 	s.queueDepth.Add(1)
 
 	// Asynchronous: the execution outlives the accepting request, so it
-	// runs under the service's lifecycle context, and the wg keeps it
-	// drainable — Wait/Drain block until every accepted execution has
-	// reached a terminal status.
+	// runs as a bulk-class pool task under the service's lifecycle
+	// context, and the wg keeps it drainable — Wait/Drain block until
+	// every accepted execution has reached a terminal status.
 	s.wg.Add(1)
 	run := func() {
 		defer s.wg.Done()
@@ -489,7 +440,6 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		outputs, err := p.Execute(s.execCtx, inputs)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.active--
 		if err != nil {
 			ex.status = StatusFailed
 			ex.err = err.Error()
@@ -498,24 +448,19 @@ func (s *Service) executeParsed(w http.ResponseWriter, ctx context.Context, id s
 		ex.status = StatusSucceeded
 		ex.outputs = outputs
 	}
-	if s.pool != nil {
-		if err := s.pool.TrySubmit(sched.ClassBulk, run); err != nil {
-			// Undo the registration: the execution never ran. The
-			// consumed sequence number is not reused — a concurrent
-			// accept may already hold a later one.
-			s.mu.Lock()
-			delete(s.execs, ex.id)
-			s.active--
-			s.mu.Unlock()
-			s.queueDepth.Add(-1)
-			s.wg.Done()
-			s.rejected.Inc()
-			writeException(w, http.StatusServiceUnavailable, "ServerBusy",
-				"compute pool saturated; retry later: "+err.Error())
-			return
-		}
-	} else {
-		go run()
+	if err := s.pool.TrySubmit(sched.ClassBulk, run); err != nil {
+		// Undo the registration: the execution never ran. The consumed
+		// sequence number is not reused — a concurrent accept may
+		// already hold a later one.
+		s.mu.Lock()
+		delete(s.execs, ex.id)
+		s.mu.Unlock()
+		s.queueDepth.Add(-1)
+		s.wg.Done()
+		s.rejected.Inc()
+		writeException(w, http.StatusServiceUnavailable, "ServerBusy",
+			"compute pool saturated; retry later: "+err.Error())
+		return
 	}
 	s.asyncExecs.Inc()
 

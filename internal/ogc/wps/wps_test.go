@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"evop/internal/metrics"
+	"evop/internal/sched"
 )
 
 // addProcess doubles a number; it can be made to fail or block.
@@ -56,9 +59,21 @@ func (p *addProcess) Execute(ctx context.Context, inputs map[string]string) (map
 	return map[string]string{"sum": strconv.FormatFloat(a+b, 'g', -1, 64)}, nil
 }
 
+// newService builds a service over a one-worker pool that is closed at
+// cleanup.
+func newService(t *testing.T, title string, reg *metrics.Registry) *Service {
+	t.Helper()
+	pool, err := sched.New(sched.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	t.Cleanup(pool.Close)
+	return NewService(title, pool, reg)
+}
+
 func newTestService(t *testing.T, procs ...Process) *httptest.Server {
 	t.Helper()
-	svc := NewService("EVOp WPS")
+	svc := newService(t, "EVOp WPS", nil)
 	for _, p := range procs {
 		if err := svc.Register(p); err != nil {
 			t.Fatalf("Register: %v", err)
@@ -180,7 +195,7 @@ func TestExecuteAsyncLifecycle(t *testing.T) {
 // process stops, and every accepted execution lands in a terminal status.
 func TestAsyncExecutionsDrainAndCloseCancels(t *testing.T) {
 	p := &addProcess{block: make(chan struct{})}
-	svc := NewService("EVOp WPS")
+	svc := newService(t, "EVOp WPS", nil)
 	if err := svc.Register(p); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -260,7 +275,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	svc := NewService("t")
+	svc := newService(t, "t", nil)
 	if err := svc.Register(&addProcess{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}

@@ -134,7 +134,8 @@ func roundShards(shards int) int {
 }
 
 // NewHubMetrics builds (or, registry permitting, retrieves) the
-// instruments for a hub named hub with the given stripe count. A nil
+// instruments for a hub named hub with the given stripe count (rounded
+// up to a power of two; non-positive selects DefaultShards). A nil
 // registry yields private, unregistered instruments.
 func NewHubMetrics(reg *metrics.Registry, hub string, shards int) *HubMetrics {
 	n := roundShards(shards)
@@ -171,18 +172,10 @@ func (hm *HubMetrics) Coalesced() uint64 {
 	return n
 }
 
-// NewHub returns a hub with shards lock stripes (rounded up to a power
-// of two; non-positive selects DefaultShards) and private, unregistered
-// instruments. Use NewHubWithMetrics to expose the counters in a
-// registry or carry them across hub generations.
-func NewHub[T any](shards int) *Hub[T] {
-	return NewHubWithMetrics[T](NewHubMetrics(nil, "", shards))
-}
-
-// NewHubWithMetrics returns a hub recording through hm; the stripe
-// count is hm's. Successive hubs built over the same HubMetrics share
-// cumulative counters.
-func NewHubWithMetrics[T any](hm *HubMetrics) *Hub[T] {
+// NewHub returns a hub recording through hm; the stripe count is hm's.
+// Successive hubs built over the same HubMetrics share cumulative
+// counters.
+func NewHub[T any](hm *HubMetrics) *Hub[T] {
 	n := len(hm.shards)
 	h := &Hub[T]{shards: make([]shard[T], n), hm: hm, mask: uint32(n - 1)}
 	for i := range h.shards {

@@ -39,7 +39,7 @@ func shardLoad[T any](h *Hub[T]) (topics, registrations []int) {
 }
 
 func TestTopicRouting(t *testing.T) {
-	h := NewHub[int](4)
+	h := NewHub[int](NewHubMetrics(nil, "", 4))
 	a, err := h.Subscribe(8, TopicSensor("lvl-1"))
 	if err != nil {
 		t.Fatalf("Subscribe a: %v", err)
@@ -70,7 +70,7 @@ func TestTopicRouting(t *testing.T) {
 }
 
 func TestMultiTopicPublishDeliversOnce(t *testing.T) {
-	h := NewHub[int](8)
+	h := NewHub[int](NewHubMetrics(nil, "", 8))
 	s, err := h.Subscribe(8, TopicSensor("lvl-1"), TopicCatchment("morland"), TopicAllSensors)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -91,7 +91,7 @@ func TestMultiTopicPublishDeliversOnce(t *testing.T) {
 
 func TestCoalescingNewestWins(t *testing.T) {
 	reg := metrics.NewRegistry(nil)
-	h := NewHubWithMetrics[int](NewHubMetrics(reg, "t", 1))
+	h := NewHub[int](NewHubMetrics(reg, "t", 1))
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -132,7 +132,7 @@ func TestCoalescingNewestWins(t *testing.T) {
 }
 
 func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
-	h := NewHub[int](2)
+	h := NewHub[int](NewHubMetrics(nil, "", 2))
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -162,7 +162,7 @@ func TestCancelStopsDeliveryAndClosesChannel(t *testing.T) {
 }
 
 func TestCloseAll(t *testing.T) {
-	h := NewHub[string](2)
+	h := NewHub[string](NewHubMetrics(nil, "", 2))
 	subs := make([]*Subscription[string], 0, 5)
 	for i := 0; i < 5; i++ {
 		s, err := h.Subscribe(2, fmt.Sprintf("t%d", i))
@@ -194,7 +194,7 @@ func TestCloseAll(t *testing.T) {
 }
 
 func TestSubscribeValidation(t *testing.T) {
-	h := NewHub[int](0) // defaults
+	h := NewHub[int](NewHubMetrics(nil, "", 0)) // defaults
 	if _, err := h.Subscribe(4); !errors.Is(err, ErrBadSubscription) {
 		t.Fatalf("no-topic err = %v", err)
 	}
@@ -215,12 +215,12 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestShardStriping(t *testing.T) {
-	h := NewHub[int](16)
+	h := NewHub[int](NewHubMetrics(nil, "", 16))
 	if len(h.shards) != 16 {
 		t.Fatalf("shards = %d, want 16", len(h.shards))
 	}
 	// Rounding up to a power of two.
-	if got := len(NewHub[int](9).shards); got != 16 {
+	if got := len(NewHub[int](NewHubMetrics(nil, "", 9)).shards); got != 16 {
 		t.Fatalf("shards(9) = %d, want 16", got)
 	}
 	// Many topics must spread across more than one stripe.
@@ -245,7 +245,7 @@ func TestShardStriping(t *testing.T) {
 // consumer that drains concurrently with the publisher: whatever was
 // dropped, the final published value must be the last one readable.
 func TestNewestAlwaysDelivered(t *testing.T) {
-	h := NewHub[int](4)
+	h := NewHub[int](NewHubMetrics(nil, "", 4))
 	s, err := h.Subscribe(4, "t")
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -289,7 +289,7 @@ func TestChurn10kSubscribers(t *testing.T) {
 		topicCount = 32
 	)
 	reg := metrics.NewRegistry(nil)
-	h := NewHubWithMetrics[int](NewHubMetrics(reg, "t", DefaultShards))
+	h := NewHub[int](NewHubMetrics(reg, "t", DefaultShards))
 	stop := make(chan struct{})
 	var pubWG sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -356,7 +356,7 @@ func TestChurn10kSubscribers(t *testing.T) {
 // BenchmarkPushFanout measures one publisher fanning an event out to
 // 10k subscribers of a single topic (the acceptance workload).
 func BenchmarkPushFanout(b *testing.B) {
-	h := NewHub[int](DefaultShards)
+	h := NewHub[int](NewHubMetrics(nil, "", DefaultShards))
 	const subscribers = 10000
 	for i := 0; i < subscribers; i++ {
 		if _, err := h.Subscribe(1, "flood"); err != nil {
@@ -375,7 +375,7 @@ func BenchmarkPushFanout(b *testing.B) {
 // BenchmarkPublishDisjointTopics exercises the lock striping: publishes
 // on different topics from parallel goroutines should not contend.
 func BenchmarkPublishDisjointTopics(b *testing.B) {
-	h := NewHub[int](DefaultShards)
+	h := NewHub[int](NewHubMetrics(nil, "", DefaultShards))
 	const topics = 64
 	for i := 0; i < topics; i++ {
 		if _, err := h.Subscribe(1, TopicSensor(fmt.Sprintf("s%d", i))); err != nil {

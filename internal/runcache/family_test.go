@@ -57,7 +57,7 @@ func TestFamilyStaleFallback(t *testing.T) {
 }
 
 func TestFamilyIndexBounded(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		fam := fmt.Sprintf("f%d", i)

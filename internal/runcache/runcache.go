@@ -109,16 +109,10 @@ type flight[V any] struct {
 }
 
 // New returns a cache holding at most capacity entries; capacities below
-// one are raised to one. Its counters are private; use NewWithMetrics to
-// expose them in a registry.
-func New[V any](capacity int) *Cache[V] {
-	return NewWithMetrics[V](capacity, nil)
-}
-
-// NewWithMetrics returns a cache whose outcome counters are registered
-// in reg as evop_runcache_*_total, beside an evop_runcache_entries gauge
-// (nil keeps them private).
-func NewWithMetrics[V any](capacity int, reg *metrics.Registry) *Cache[V] {
+// one are raised to one. Its outcome counters are registered in reg as
+// evop_runcache_*_total, beside an evop_runcache_entries gauge (nil
+// keeps them private).
+func New[V any](capacity int, reg *metrics.Registry) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -220,6 +214,9 @@ func (c *Cache[V]) wait(ctx context.Context, key string, fl *flight[V], outcome 
 		return fl.val, outcome, fl.err
 	case <-ctx.Done():
 		c.mu.Lock()
+		// Count before canceling the flight, so whoever observes the
+		// computation stop also observes the abandonment counted.
+		c.canceled.Inc()
 		fl.waiters--
 		if fl.waiters == 0 {
 			// Nobody wants this result any more: stop the computation and
@@ -230,7 +227,6 @@ func (c *Cache[V]) wait(ctx context.Context, key string, fl *flight[V], outcome 
 				delete(c.inflight, key)
 			}
 		}
-		c.canceled.Inc()
 		c.mu.Unlock()
 		var zero V
 		return zero, Canceled, ctx.Err()

@@ -21,7 +21,7 @@ func newMetered[V any](capacity int) (*Cache[V], func(outcome string) uint64, *m
 	count := func(outcome string) uint64 {
 		return reg.Counter("evop_runcache_"+outcome+"_total", "").Value()
 	}
-	return NewWithMetrics[V](capacity, reg), count, reg
+	return New[V](capacity, reg), count, reg
 }
 
 func TestDoMissThenHit(t *testing.T) {
@@ -55,7 +55,7 @@ func TestDoMissThenHit(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	boom := errors.New("boom")
 	calls := 0
 	if _, out, err := c.Do(context.Background(), "k", func(context.Context) (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) || out != Miss {
@@ -91,7 +91,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRURecencyOrder(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, nil)
 	_, _, _ = c.Do(context.Background(), "a", func(context.Context) (int, error) { return 1, nil })
 	_, _, _ = c.Do(context.Background(), "b", func(context.Context) (int, error) { return 2, nil })
 	// Touch a so b becomes the eviction candidate.
@@ -171,7 +171,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 func TestPurgeDropsEntriesAndStaleFlights(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	_, _, _ = c.Do(context.Background(), "k", func(context.Context) (int, error) { return 1, nil })
 
 	started := make(chan struct{})
@@ -207,7 +207,7 @@ func TestPurgeDropsEntriesAndStaleFlights(t *testing.T) {
 }
 
 func TestCapacityFloor(t *testing.T) {
-	c := New[int](0)
+	c := New[int](0, nil)
 	_, _, _ = c.Do(context.Background(), "a", func(context.Context) (int, error) { return 1, nil })
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("capacity floor of one not applied")
@@ -294,7 +294,7 @@ func TestCanceledFollowerDoesNotKillFlight(t *testing.T) {
 // disconnects, the computation's context is cancelled so the simulation
 // stops burning CPU, and a later identical request starts fresh.
 func TestAllWaitersGoneCancelsCompute(t *testing.T) {
-	c := New[int](4)
+	c := New[int](4, nil)
 	started := make(chan struct{})
 	computeStopped := make(chan error, 1)
 
@@ -338,7 +338,7 @@ func TestAllWaitersGoneCancelsCompute(t *testing.T) {
 // request's cancellation.
 func TestFlightContextInheritsValues(t *testing.T) {
 	type key struct{}
-	c := New[string](4)
+	c := New[string](4, nil)
 	ctx := context.WithValue(context.Background(), key{}, "req-7")
 	v, _, err := c.Do(ctx, "k", func(fctx context.Context) (string, error) {
 		got, _ := fctx.Value(key{}).(string)

@@ -171,8 +171,9 @@ func (r *Runner[S]) ForEach(ctx context.Context, n int, fn func(st S, i int) err
 	}
 	size := r.chunk
 	if size <= 0 {
-		// About eight chunks per worker: enough slack for stealing to
-		// balance uneven tasks, few enough sends to stay cheap.
+		// About eight chunks per worker: small enough that a worker
+		// finishing early picks up more of an uneven batch, few enough
+		// queue operations to stay cheap.
 		size = n / (r.p.workers * 8)
 		if size < 1 {
 			size = 1

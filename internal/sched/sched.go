@@ -1,25 +1,22 @@
-// Package sched is the shared compute scheduler: one bounded,
-// work-stealing worker pool that every CPU-bound fan-out in the
-// observatory runs on. The paper singles out Monte Carlo uncertainty
-// analysis and multi-model ensembles as the embarrassingly parallel
-// workload motivating elastic execution; the HTC-in-clouds line of work
-// shows the win comes from a single shared scheduler rather than
-// per-workload pools. Before this package, each parallel workload either
-// grew its own ad-hoc pool (calibration), ran on one core (FUSE
-// ensembles, experiment sweeps) or spawned unbounded goroutines (WPS
-// async executions).
+// Package sched is the shared compute scheduler: one bounded worker
+// pool that every CPU-bound fan-out in the observatory runs on. The
+// paper singles out Monte Carlo uncertainty analysis and multi-model
+// ensembles as the embarrassingly parallel workload motivating elastic
+// execution; the HTC-in-clouds line of work shows the win comes from a
+// single shared scheduler rather than per-workload pools. Before this
+// package, each parallel workload either grew its own ad-hoc pool
+// (calibration), ran on one core (FUSE ensembles, experiment sweeps) or
+// spawned unbounded goroutines (WPS async executions).
 //
 // Design:
 //
-//   - A fixed set of workers (default GOMAXPROCS) with per-worker chunked
-//     task queues. A worker prefers its own queue and steals from its
-//     neighbours when empty, so an uneven batch balances itself. Every
-//     queue is FIFO, so a batch runs in about index order and a failure
-//     at a low index cancels the chunks above it before they start.
+//   - A fixed set of workers (default GOMAXPROCS) sharing one FIFO of
+//     chunks per priority class. Workers take from the head, so a batch
+//     runs in index order and a failure at a low index cancels the
+//     chunks above it before they start.
 //   - Two priority classes aligned with the admission controller's
 //     ordering: ClassModel (interactive model runs) is always drained
-//     before ClassBulk (sweeps, async executions), whichever worker's
-//     queue holds it.
+//     before ClassBulk (sweeps, async executions).
 //   - Batches (Runner.ForEach / Map) carry per-worker reusable scratch: a
 //     generic worker-state factory runs at most once per worker slot, so
 //     model structs and arenas are allocated once per worker, not once
@@ -31,9 +28,10 @@
 //   - First task error cancels the batch's remaining chunks; successful
 //     outputs are written by index, so results are bit-identical to a
 //     sequential loop for any worker count.
-//   - TrySubmit runs one standalone task asynchronously, bounded by
-//     Config.MaxAsync; over-queue submissions are rejected with
-//     ErrSaturated rather than queued without limit.
+//   - TrySubmit runs one standalone task asynchronously, bounded at
+//     asyncPerWorker queued-plus-running tasks per worker; over-queue
+//     submissions are rejected with ErrSaturated rather than queued
+//     without limit.
 //
 // Everything is stdlib-only and observable: evop_sched_tasks_total,
 // evop_sched_queue_depth, evop_sched_workers_busy and
@@ -90,14 +88,15 @@ func (c Class) String() string {
 type Config struct {
 	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// MaxAsync bounds queued-plus-running TrySubmit tasks; 0 means
-	// 16 per worker. Batch work (ForEach/Map) is not counted — the
-	// submitting caller is present and helping, so it is self-bounding.
-	MaxAsync int
 	// Metrics receives the evop_sched_* instruments; nil keeps them
 	// private.
 	Metrics *metrics.Registry
 }
+
+// asyncPerWorker bounds queued-plus-running TrySubmit tasks per worker.
+// Batch work (ForEach/Map) is not counted — the submitting caller is
+// present and helping, so it is self-bounding.
+const asyncPerWorker = 16
 
 // chunk is one unit of queued work: either an index range of a batch, or
 // a standalone async task (batch nil, fn set, hi-lo == 1).
@@ -144,14 +143,12 @@ func (q *queue) take(i int) chunk {
 // Pool is the shared worker pool. All methods are safe for concurrent
 // use. The zero value is not usable; construct with New.
 type Pool struct {
-	workers  int
-	maxAsync int
+	workers int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [][numClasses]queue // per worker, per class; taken from the head by owner and thieves alike
-	rr     int                 // round-robin push cursor
-	async  int                 // queued + running TrySubmit tasks
+	queues [numClasses]queue // one FIFO per class, shared by every executor
+	async  int               // queued + running TrySubmit tasks
 	closed bool
 
 	wg sync.WaitGroup // worker goroutines
@@ -171,18 +168,7 @@ func New(cfg Config) (*Pool, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("workers=%d: %w", cfg.Workers, ErrBadConfig)
 	}
-	maxAsync := cfg.MaxAsync
-	if maxAsync == 0 {
-		maxAsync = 16 * workers
-	}
-	if maxAsync < 0 {
-		return nil, fmt.Errorf("maxAsync=%d: %w", cfg.MaxAsync, ErrBadConfig)
-	}
-	p := &Pool{
-		workers:  workers,
-		maxAsync: maxAsync,
-		queues:   make([][numClasses]queue, workers),
-	}
+	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
 	reg := cfg.Metrics
 	for cl := Class(0); cl < numClasses; cl++ {
@@ -203,9 +189,6 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close stops accepting work, lets the workers drain every queued chunk
 // (so no batch waiter can hang) and blocks until all worker goroutines
 // have exited. Closing twice is safe.
@@ -217,18 +200,11 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// isClosed reports whether Close has been called.
-func (p *Pool) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // TrySubmit enqueues one standalone task to run asynchronously under the
 // given class. It never blocks: when queued-plus-running async tasks are
-// at the MaxAsync bound it returns ErrSaturated, and after Close it
-// returns ErrClosed. The caller observes completion through its own
-// side effects (e.g. a WaitGroup inside fn).
+// at the bound of asyncPerWorker per worker it returns ErrSaturated, and
+// after Close it returns ErrClosed. The caller observes completion
+// through its own side effects (e.g. a WaitGroup inside fn).
 func (p *Pool) TrySubmit(class Class, fn func()) error {
 	if fn == nil {
 		return fmt.Errorf("nil task: %w", ErrBadConfig)
@@ -241,10 +217,10 @@ func (p *Pool) TrySubmit(class Class, fn func()) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if p.async >= p.maxAsync {
+	if bound := asyncPerWorker * p.workers; p.async >= bound {
 		n := p.async
 		p.mu.Unlock()
-		return fmt.Errorf("%d async tasks pending (max %d): %w", n, p.maxAsync, ErrSaturated)
+		return fmt.Errorf("%d async tasks pending (max %d): %w", n, bound, ErrSaturated)
 	}
 	p.async++
 	p.pushLocked(chunk{fn: fn, lo: 0, hi: 1, class: class})
@@ -253,20 +229,14 @@ func (p *Pool) TrySubmit(class Class, fn func()) error {
 	return nil
 }
 
-// pushLocked appends a chunk to the next worker's queue (round-robin).
+// pushLocked appends a chunk to the tail of its class's queue.
 func (p *Pool) pushLocked(c chunk) {
-	w := p.rr
-	p.rr++
-	if p.rr >= p.workers {
-		p.rr = 0
-	}
-	p.queues[w][c.class].push(c)
+	p.queues[c.class].push(c)
 	p.depth[c.class].Add(1)
 }
 
-// pushBatch enqueues every chunk of a batch, spread round-robin across
-// the worker queues. It reports false (enqueuing nothing) if the pool
-// is already closed.
+// pushBatch enqueues every chunk of a batch in index order. It reports
+// false (enqueuing nothing) if the pool is already closed.
 func (p *Pool) pushBatch(b *batch, n, size int, class Class) bool {
 	p.mu.Lock()
 	if p.closed {
@@ -285,20 +255,12 @@ func (p *Pool) pushBatch(b *batch, n, size int, class Class) bool {
 	return true
 }
 
-// popLocked takes one chunk for worker id: class-major (every model
-// chunk anywhere in the pool outranks any bulk chunk), own queue first,
-// then stealing from the other workers, always from a queue's head.
-func (p *Pool) popLocked(id int) (chunk, bool) {
-	for cl := 0; cl < numClasses; cl++ {
-		for off := 0; off < p.workers; off++ {
-			v := id + off
-			if v >= p.workers {
-				v -= p.workers
-			}
-			q := &p.queues[v][cl]
-			if q.len() == 0 {
-				continue
-			}
+// popLocked takes the head chunk of the highest-priority non-empty
+// class: every model chunk outranks any bulk chunk.
+func (p *Pool) popLocked() (chunk, bool) {
+	for cl := range p.queues {
+		q := &p.queues[cl]
+		if q.len() > 0 {
 			p.depth[cl].Add(-1)
 			return q.take(q.head), true
 		}
@@ -306,38 +268,36 @@ func (p *Pool) popLocked(id int) (chunk, bool) {
 	return chunk{}, false
 }
 
-// takeFor removes the oldest queued chunk of batch b from the first
-// queue holding one, for the submitting goroutine's helping loop.
+// takeFor removes the oldest queued chunk of batch b, for the
+// submitting goroutine's helping loop.
 func (p *Pool) takeFor(b *batch) (chunk, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for w := 0; w < p.workers; w++ {
-		q := &p.queues[w][b.class]
-		for i := q.head; i < len(q.items); i++ {
-			if q.items[i].b == b {
-				p.depth[b.class].Add(-1)
-				return q.take(i), true
-			}
+	q := &p.queues[b.class]
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i].b == b {
+			p.depth[b.class].Add(-1)
+			return q.take(i), true
 		}
 	}
 	return chunk{}, false
 }
 
-// worker is one pool goroutine: pop (or steal) a chunk, execute it, park
-// when there is nothing to do. On Close it drains the remaining queues
-// before exiting, so every accepted chunk runs exactly once.
+// worker is one pool goroutine: pop a chunk, execute it, park when
+// there is nothing to do. On Close it drains the remaining queues before
+// exiting, so every accepted chunk runs exactly once.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		c, ok := p.popLocked(id)
+		c, ok := p.popLocked()
 		for !ok {
 			if p.closed {
 				p.mu.Unlock()
 				return
 			}
 			p.cond.Wait()
-			c, ok = p.popLocked(id)
+			c, ok = p.popLocked()
 		}
 		p.mu.Unlock()
 		p.execute(c, id)

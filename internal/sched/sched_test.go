@@ -28,12 +28,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Workers: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Workers=-1: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := New(Config{MaxAsync: -1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("MaxAsync=-1: err = %v, want ErrBadConfig", err)
-	}
 	p := newPool(t, Config{})
-	if p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers = %d, want GOMAXPROCS = %d", p.Workers(), runtime.GOMAXPROCS(0))
+	if p.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers = %d, want GOMAXPROCS = %d", p.workers, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -290,7 +287,7 @@ func TestNestedForEachNoDeadlock(t *testing.T) {
 // worker pinned, queued model tasks run before bulk tasks that were
 // submitted earlier.
 func TestModelOutranksBulk(t *testing.T) {
-	p := newPool(t, Config{Workers: 1, MaxAsync: 16})
+	p := newPool(t, Config{Workers: 1})
 	block := make(chan struct{})
 	started := make(chan struct{})
 	if err := p.TrySubmit(ClassBulk, func() { close(started); <-block }); err != nil {
@@ -329,8 +326,11 @@ func TestModelOutranksBulk(t *testing.T) {
 	}
 }
 
+// TestTrySubmitBound: queued and running async tasks together are
+// bounded at asyncPerWorker per worker; past it TrySubmit rejects with
+// ErrSaturated instead of queueing.
 func TestTrySubmitBound(t *testing.T) {
-	p := newPool(t, Config{Workers: 1, MaxAsync: 2})
+	p := newPool(t, Config{Workers: 1})
 	if err := p.TrySubmit(ClassBulk, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil fn: err = %v, want ErrBadConfig", err)
 	}
@@ -338,26 +338,38 @@ func TestTrySubmitBound(t *testing.T) {
 		t.Fatalf("bad class: err = %v, want ErrBadConfig", err)
 	}
 
+	// Registered after newPool's Close, so cleanup releases the blockers
+	// first and a failed assertion cannot hang Close.
 	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
 	started := make(chan struct{})
 	if err := p.TrySubmit(ClassBulk, func() { close(started); <-block }); err != nil {
 		t.Fatalf("first: %v", err)
 	}
 	<-started
-	if err := p.TrySubmit(ClassBulk, func() {}); err != nil {
-		t.Fatalf("second: %v", err)
+	accepted := 1
+	for {
+		err := p.TrySubmit(ClassBulk, func() { <-block })
+		if errors.Is(err, ErrSaturated) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("submit %d: %v", accepted+1, err)
+		}
+		if accepted++; accepted > 100*asyncPerWorker {
+			t.Fatalf("%d async tasks accepted without ErrSaturated", accepted)
+		}
 	}
-	if err := p.TrySubmit(ClassBulk, func() {}); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("third: err = %v, want ErrSaturated", err)
+	if want := asyncPerWorker * p.workers; accepted != want {
+		t.Fatalf("saturated after %d tasks (one running), want %d", accepted, want)
 	}
-	close(block)
 }
 
 // TestPoolCloseDrainsWorkers is the goroutine-leak check: every accepted
 // task still runs, and after Close the pool's goroutines are gone.
 func TestPoolCloseDrainsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p, err := New(Config{Workers: 8, MaxAsync: 1024})
+	p, err := New(Config{Workers: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

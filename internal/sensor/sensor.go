@@ -257,7 +257,7 @@ func NewNetworkWithMetrics(clk clock.Clock, reg *metrics.Registry) (*Network, er
 	hm := push.NewHubMetrics(reg, "sensors", push.DefaultShards)
 	n := &Network{
 		clk:        clk,
-		hub:        push.NewHubWithMetrics[Reading](hm),
+		hub:        push.NewHub[Reading](hm),
 		hubMetrics: hm,
 		sensors:    make(map[string]Sensor),
 		shards:     make(map[string]*shard),
@@ -484,7 +484,7 @@ func (n *Network) Stop() {
 	}
 	n.stops = nil
 	old := n.hub
-	n.hub = push.NewHubWithMetrics[Reading](n.hubMetrics)
+	n.hub = push.NewHub[Reading](n.hubMetrics)
 	n.mu.Unlock()
 	// Close subscriptions outside n.mu: CloseAll takes per-subscription
 	// locks that publishers (which never hold n.mu) also take.
